@@ -25,10 +25,10 @@ from .forward import (Admittivity, EllipticityError, SolverError, boundary_trace
                       caccioppoli_ratio, field_from_function, solve_dirichlet)
 from .dtn import dtn_matrix, local_dtn, operator_norm
 from .fundsol import TwoPhaseCoeffs
-from .geometry import (InvalidSpecError, TooCoarseError, build_partition,
-                       generate_mesh, mesh_hash)
-from .singular import (CorrectorSolver, alessandrini_pair, asymptotics_check,
-                       half_space_probe_rate)
+from .geometry import (GeometryError, InvalidSpecError, TooCoarseError,
+                       build_partition, generate_mesh, mesh_hash)
+from .singular import (CorrectorSolver, PlacementError, alessandrini_pair,
+                       asymptotics_check, half_space_probe_rate)
 from .stability import (ConstantTracker, constant_bound, gauss_newton_reconstruct,
                         random_harmonic_polynomial, sensitivity_jacobian,
                         stability_sweep, three_sphere_check,
@@ -60,9 +60,21 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> Non
 
 
 def _number(obj, path: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise ValidationError(f"{path}: expected a number, got {obj!r}")
-    return float(obj)
+    # JSON admits NaN and Infinity, and 1e999 parses to inf
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        try:
+            x = float(obj)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{path}: expected a finite number, got {obj!r}")
+
+
+def _numbers(obj, path: str) -> list[float]:
+    if not isinstance(obj, list):
+        raise ValidationError(f"{path}: expected a list of numbers")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
 def _int(obj, path: str) -> int:
@@ -237,6 +249,8 @@ def _arc_positions(scn: Scenario, which: str) -> np.ndarray | None:
 
 def _run_dtn_norm(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity", "admittivity_2")
+    scn.check_adm_matches(scn.admittivity, "config.admittivity")
+    scn.check_adm_matches(scn.admittivity_2, "config.admittivity_2")
     params = _params(scn, (), ("arc",))
     arc = _arc_positions(scn, params.get("arc", "full"))
     d1 = dtn_matrix(scn.mesh, scn.admittivity)
@@ -282,7 +296,8 @@ def _run_asymptotics(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity")
     params = _params(scn, ("link",), ("radii_over_r0",))
     link = _int(params["link"], "config.params.link")
-    fracs = params.get("radii_over_r0", [2.0 ** (-j) for j in range(2, 7)])
+    fracs = _numbers(params.get("radii_over_r0", [2.0 ** (-j) for j in range(2, 7)]),
+                     "config.params.radii_over_r0")
     radii = [f * scn.partition.r0 for f in fracs]
     solver = CorrectorSolver(scn.mesh, scn.admittivity)
     rows_raw, slope, verdict = asymptotics_check(solver, link, radii)
@@ -299,7 +314,8 @@ def _run_s_rate(scn: Scenario, rng):
     if not 2 <= k <= scn.admittivity.n:
         raise ValidationError("config.params.k: need an interior interface index")
     rho0 = _number(params.get("rho0", 0.25), "config.params.rho0")
-    fracs = params.get("radii_over_rho0", [2.0 ** (-j) for j in range(3, 8)])
+    fracs = _numbers(params.get("radii_over_rho0", [2.0 ** (-j) for j in range(3, 8)]),
+                     "config.params.radii_over_rho0")
     c1 = TwoPhaseCoeffs(scn.admittivity.value_for(k), scn.admittivity.value_for(k - 1))
     c2 = TwoPhaseCoeffs(scn.admittivity_2.value_for(k), scn.admittivity_2.value_for(k - 1))
     jump = scn.admittivity.value_for(k) - scn.admittivity_2.value_for(k)
@@ -330,13 +346,12 @@ def _run_reconstruct(scn: Scenario, rng):
     extras = {"iterations": res.iterations, "converged": res.converged,
               "final_err_inf": res.history[-1][2]}
 
-    levels = params.get("noise_levels", [])
+    levels = _numbers(params.get("noise_levels", []), "config.params.noise_levels")
     if levels:
         sens = sensitivity_jacobian(scn.mesh, truth)
         S = worst_case_perturbation(sens)
         noise_rows = []
         for eta in levels:
-            eta = _number(eta, "config.params.noise_levels")
             r = gauss_newton_reconstruct(target.matrix + eta * S, scn.mesh, guess,
                                          max_iter=max_iter, truth=truth)
             noise_rows.append((eta, r.history[-1][1], r.admittivity.max_jump(truth)))
@@ -514,7 +529,8 @@ def run_scenario(config_path, out_dir=None, seed=None, threads: int = 1) -> Path
             files, extras = runner(scn, rng, threads=threads)
         else:
             files, extras = runner(scn, rng)
-    except (EllipticityError, InvalidSpecError, TooCoarseError) as exc:
+    except (EllipticityError, InvalidSpecError, TooCoarseError, GeometryError,
+            PlacementError) as exc:
         raise ValidationError(str(exc)) from exc
     except SolverError as exc:
         raise NumericFailure(str(exc)) from exc

@@ -97,16 +97,21 @@ def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return M, B
 
 
-def dtn_matrix(mesh: Mesh, adm: Admittivity,
-               system: FemSystem | None = None) -> DtNMap:
+def schur(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary Schur complement A_BB - A_BI X and the lifting X = A_II^-1 A_IB.
+
+    Column q of -X holds the interior values of the discrete harmonic
+    extension of the hat trace at boundary position q.
+    """
+    A = system.matrix
+    bb, ii = system.boundary, system.interior
+    X = system.lu.solve(A[np.ix_(ii, bb)].toarray())
+    return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, ii)] @ X, X
+
+
+def dtn_matrix(mesh: Mesh, adm: Admittivity) -> DtNMap:
     """Schur complement of the stiffness onto the boundary trace basis."""
-    sys_ = system if system is not None else assemble(mesh, adm)
-    A = sys_.matrix
-    bb = sys_.boundary
-    ii = sys_.interior
-    A_ib = A[np.ix_(ii, bb)].toarray()
-    X = sys_.lu.solve(A_ib)
-    lam = A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, ii)] @ X
+    lam, _ = schur(assemble(mesh, adm))
     M, B = boundary_operators(mesh)
     return DtNMap(matrix=lam, mass=M, stiffness=B,
                   mesh_hash=mesh_hash(mesh), h=mesh.h)

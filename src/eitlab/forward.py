@@ -15,7 +15,9 @@ function energy on concentric balls.
 
 from __future__ import annotations
 
+import cmath
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .geometry import GeometryError, Mesh
-from .quadrature import clipped_areas, clipped_quadrature
+from .quadrature import clipped_quadrature
 
 __all__ = [
     "EllipticityError",
@@ -64,9 +66,12 @@ class Admittivity:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        if self.lam < 1.0:
-            raise EllipticityError(f"ellipticity bound must be >= 1, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise EllipticityError(
+                f"ellipticity bound must be a finite number >= 1, got {self.lam}")
         for j, g in enumerate(self.values, start=1):
+            if not cmath.isfinite(g):
+                raise EllipticityError(f"admittivity {j}: {g} is not finite")
             if g.real < 1.0 / self.lam - 1e-15:
                 raise EllipticityError(
                     f"admittivity {j}: Re(gamma) = {g.real} violates the lower "
@@ -158,16 +163,20 @@ class FemSystem:
             self._lu = splu(self.matrix[np.ix_(ii, ii)].tocsc())
         return self._lu
 
-    def solve(self, trace) -> "FieldSolution":
+    def solve(self, trace, load=None) -> "FieldSolution":
+        """Dirichlet solve: boundary values `trace`, nodal right-hand side
+        `load` (zero when omitted) tested against the interior hats."""
         f = np.asarray(trace, dtype=complex)
         if f.shape != self.boundary.shape:
             raise ValueError("trace length does not match the boundary node count")
         u = np.zeros(self.mesh.n_nodes, dtype=complex)
         u[self.boundary] = f
         rhs = -(self.matrix[np.ix_(self.interior, self.boundary)] @ f)
+        if load is not None:
+            rhs += load[self.interior]
         u[self.interior] = self.lu.solve(rhs)
         sol = FieldSolution(mesh=self.mesh, values=u, trace=f, adm=self.adm)
-        res = sol.interior_residual(self.matrix, self.interior)
+        res = sol.interior_residual(self.matrix, self.interior, load)
         if res > 1e-8:
             raise SolverError(
                 f"interior residual {res:.3e} exceeds tolerance; system may be "
@@ -252,9 +261,15 @@ class FieldSolution:
     adm: Admittivity | None = None
     _grads: np.ndarray | None = field(default=None, repr=False)
 
-    def interior_residual(self, matrix, interior) -> float:
+    def interior_residual(self, matrix, interior, load=None) -> float:
+        """Largest interior entry of matrix @ values - load, relative to the
+        size of the field, the load and the matrix."""
         r = matrix @ self.values
-        scale = max(np.abs(self.values).max(), 1e-300) * max(np.abs(matrix.data).max(), 1e-300)
+        size = np.abs(self.values).max()
+        if load is not None:
+            r -= load
+            size = max(size, np.abs(load).max())
+        scale = max(size, 1e-300) * max(np.abs(matrix.data).max(), 1e-300)
         return float(np.abs(r[interior]).max() / scale)
 
     def gradients(self) -> np.ndarray:
@@ -340,9 +355,9 @@ def caccioppoli_ratio(u: FieldSolution, x0, rho: float, R: float,
     c = np.asarray(x0, dtype=float)
     # quick reject: triangles that cannot meet B_R
     near = np.linalg.norm(u.mesh.centroids() - c[None, :], axis=1) <= R + 2.5 * u.mesh.h
-    grads2 = np.abs(u.gradients()[near]) ** 2
-    grad_density = grads2.sum(axis=1)
-    num = float(np.sum(grad_density * clipped_areas(tp[near], c, rho, depth=depth)))
+    grad_density = (np.abs(u.gradients()[near]) ** 2).sum(axis=1)
+    num = float(clipped_quadrature(tp[near], lambda points, parents: grad_density[parents],
+                                   c, rho, inside=True, depth=depth))
 
     tri_sel = np.nonzero(near)[0]
     nodes_vals = u.values[u.mesh.triangles]
@@ -355,9 +370,7 @@ def caccioppoli_ratio(u: FieldSolution, x0, rho: float, R: float,
         vals = v0 + ((points - p0) * g).sum(axis=1)
         return np.abs(vals) ** 2
 
-    den = float(np.real(clipped_quadrature(tp[near], abs2, c, R, inside=True,
-                                           depth=depth,
-                                           parents=np.arange(len(tri_sel)))))
+    den = float(clipped_quadrature(tp[near], abs2, c, R, inside=True, depth=depth))
     if den == 0.0:
         return 0.0
     return (R - rho) ** 2 * num / den

@@ -103,10 +103,6 @@ class Region:
     def thickness(self) -> float:
         return self.y1 - self.y0
 
-    def polygon(self) -> np.ndarray:
-        return np.array([[self.x0, self.y0], [self.x1, self.y0],
-                         [self.x1, self.y1], [self.x0, self.y1]])
-
     def contains(self, p, tol: float = 0.0) -> bool:
         x, y = float(p[0]), float(p[1])
         return (self.x0 - tol <= x <= self.x1 + tol
@@ -142,18 +138,12 @@ class Partition:
     regions: tuple[Region, ...]
     interfaces: tuple[Interface, ...]
     r0: float
-    L: float
-    A: float
     n_strips: int
     with_extension: bool
 
     @property
     def labels(self) -> tuple[int, ...]:
         return tuple(r.label for r in self.regions)
-
-    @property
-    def strip_thickness(self) -> float:
-        return self.r0
 
     def region_by_label(self, label: int) -> Region:
         for r in self.regions:
@@ -234,8 +224,7 @@ def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
     Strips are labelled 1 (bottom) to N (top); interface k >= 2 sits between
     strips k-1 and k.  Interface 1 is the bottom edge of `rect`; with
     `with_extension` a strip of thickness r0 and label 0 is glued below it.
-    r0 equals the strip thickness, the flatness constant L is 0, and A is the
-    rectangle area measured in units of r0^2.
+    r0 equals the strip thickness.
     """
     if not isinstance(n_strips, int) or n_strips < 1:
         raise InvalidSpecError(f"strip count must be a positive integer, got {n_strips}")
@@ -261,8 +250,7 @@ def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
 
     domain = Rect(omega.x0, lo, omega.x1, omega.y1)
     return Partition(domain=domain, omega=omega, regions=tuple(regions),
-                     interfaces=tuple(interfaces), r0=r0, L=0.0,
-                     A=omega.area / r0 ** 2, n_strips=n_strips,
+                     interfaces=tuple(interfaces), r0=r0, n_strips=n_strips,
                      with_extension=with_extension)
 
 

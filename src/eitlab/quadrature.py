@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["TRI7_BARY", "TRI7_W", "tri7_points", "triangle_areas",
-           "integrate_on_triangles", "clipped_quadrature", "clipped_areas"]
+           "integrate_on_triangles", "clipped_quadrature"]
 
 _a1, _b1 = 0.059715871789770, 0.470142064105115
 _a2, _b2 = 0.797426985353087, 0.101286507323456
@@ -124,34 +124,3 @@ def clipped_quadrature(tris_pts: np.ndarray, fn, center, radius: float,
             break
         cur, par = _subdivide(cur[straddle], par[straddle])
     return total
-
-
-def clipped_areas(tris_pts: np.ndarray, center, radius: float,
-                  inside: bool = True, depth: int = 8) -> np.ndarray:
-    """Per-triangle area of the part on the requested side of the ball."""
-    c = np.asarray(center, dtype=float)
-    out = np.zeros(len(tris_pts))
-    cur = np.asarray(tris_pts, dtype=float)
-    par = np.arange(len(tris_pts))
-    for level in range(depth + 1):
-        if len(cur) == 0:
-            break
-        dmax = np.linalg.norm(cur - c[None, None, :], axis=2).max(axis=1)
-        dmin = _point_triangle_dist(cur, c)
-        fully_in = dmax <= radius
-        fully_out = dmin >= radius
-        straddle = ~(fully_in | fully_out)
-        keep = fully_in if inside else fully_out
-        if np.any(keep):
-            np.add.at(out, par[keep], triangle_areas(cur[keep]))
-        if level == depth:
-            if np.any(straddle):
-                cen = cur[straddle].mean(axis=1)
-                cen_in = np.linalg.norm(cen - c[None, :], axis=1) <= radius
-                last = cen_in if inside else ~cen_in
-                if np.any(last):
-                    np.add.at(out, par[straddle][last],
-                              triangle_areas(cur[straddle][last]))
-            break
-        cur, par = _subdivide(cur[straddle], par[straddle])
-    return out

@@ -211,20 +211,7 @@ class CorrectorSolver:
                                  grads[active])
             np.add.at(b, mesh.triangles[active].ravel(), contrib.ravel())
 
-        bnodes = mesh.boundary_nodes
-        trace = -sol.kernel(mesh.nodes[bnodes])
-        A = self.system.matrix
-        ii = self.system.interior
-        wvec = np.zeros(mesh.n_nodes, dtype=complex)
-        wvec[bnodes] = trace
-        rhs = b[ii] - A[np.ix_(ii, bnodes)] @ trace
-        wvec[ii] = self.system.lu.solve(rhs)
-        resid = A @ wvec - b
-        scale = max(np.abs(wvec).max(), np.abs(b).max(), 1e-300) \
-            * np.abs(A.data).max()
-        if np.abs(resid[ii]).max() > 1e-8 * scale:
-            raise RuntimeError("corrector solve produced an unacceptable residual")
-        sol.w = FieldSolution(mesh=mesh, values=wvec, trace=trace, adm=adm)
+        sol.w = self.system.solve(-sol.kernel(mesh.nodes[mesh.boundary_nodes]), load=b)
         return sol
 
 
@@ -358,10 +345,9 @@ def _box_partition(p: Partition, box: Rect) -> Partition:
             interfaces.append(s)
     if not regions:
         raise GeometryError("box does not meet the partition")
-    t = min(r.thickness for r in regions)
     return Partition(domain=box, omega=box, regions=tuple(regions),
-                     interfaces=tuple(interfaces), r0=t, L=0.0,
-                     A=box.area / t ** 2, n_strips=p.n_strips,
+                     interfaces=tuple(interfaces),
+                     r0=min(r.thickness for r in regions), n_strips=p.n_strips,
                      with_extension=False)
 
 

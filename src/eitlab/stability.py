@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import boundary_operators, dtn_matrix, h_half_gram, operator_norm
+from .dtn import boundary_operators, dtn_matrix, h_half_gram, operator_norm, schur
 from .forward import Admittivity, assemble, region_stiffness
 from .geometry import Mesh
 
@@ -378,10 +378,8 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
     """DtN matrix and the exact per-strip derivative matrices d Lam / d gamma_j."""
     sys_ = assemble(mesh, adm)
-    A = sys_.matrix
+    lam, X = schur(sys_)
     bb, ii = sys_.boundary, sys_.interior
-    X = sys_.lu.solve(A[np.ix_(ii, bb)].toarray())
-    lam = A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, ii)] @ X
     parts = region_stiffness(mesh)
     cols = []
     for j in range(1, adm.n + 1):
@@ -398,6 +396,18 @@ def _stack_real(Z: np.ndarray) -> np.ndarray:
     return np.concatenate([Z.real.ravel(), Z.imag.ravel()])
 
 
+def _jacobian(L: np.ndarray, cols) -> np.ndarray:
+    """Weighted real Jacobian, columns ordered (Re g_1, Im g_1, Re g_2, ...)."""
+    return np.column_stack([_phi(L, z) for Mj in cols for z in (Mj, 1j * Mj)])
+
+
+def _gram_and_chol(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Order-1/2 boundary Gram matrix and its lower Cholesky factor."""
+    M, B = boundary_operators(mesh)
+    gram_half = h_half_gram(M, B, 0.5)
+    return gram_half, sla.cholesky(gram_half, lower=True)
+
+
 @dataclass
 class SensitivityResult:
     columns: list            # d Lam / d gamma_j, complex symmetric, unweighted
@@ -408,8 +418,7 @@ class SensitivityResult:
     chol: np.ndarray
 
 
-def sensitivity_jacobian(mesh: Mesh, adm: Admittivity,
-                         gram_half: np.ndarray | None = None) -> SensitivityResult:
+def sensitivity_jacobian(mesh: Mesh, adm: Admittivity) -> SensitivityResult:
     """Exact Jacobian of the coefficient-to-DtN map in the weighted metric.
 
     The stiffness is affine in every strip value, so each derivative matrix
@@ -418,16 +427,9 @@ def sensitivity_jacobian(mesh: Mesh, adm: Admittivity,
     ...); the smallest singular value is the reciprocal of the local
     Lipschitz constant of the finite-dimensional inverse problem.
     """
-    if gram_half is None:
-        M, B = boundary_operators(mesh)
-        gram_half = h_half_gram(M, B, 0.5)
-    L = sla.cholesky(gram_half, lower=True)
+    gram_half, L = _gram_and_chol(mesh)
     _, cols = _dtn_and_columns(mesh, adm)
-    jac_cols = []
-    for Mj in cols:
-        jac_cols.append(_phi(L, Mj))
-        jac_cols.append(_phi(L, 1j * Mj))
-    J = np.column_stack(jac_cols)
+    J = _jacobian(L, cols)
     sv = sla.svdvals(J)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
         raise RuntimeError(
@@ -463,8 +465,7 @@ class ReconstructionResult:
 
 def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
                              max_iter: int = 30, tol: float = 1e-12,
-                             truth: Admittivity | None = None,
-                             gram_half: np.ndarray | None = None) -> ReconstructionResult:
+                             truth: Admittivity | None = None) -> ReconstructionResult:
     """Recover strip values by Gauss-Newton on the weighted DtN misfit.
 
     `target` is a DtN matrix (or DtNMap) generated on the same mesh; the
@@ -473,10 +474,7 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
     iterate is projected back onto the admissible set.
     """
     target_mat = target.matrix if hasattr(target, "matrix") else np.asarray(target)
-    if gram_half is None:
-        M, B = boundary_operators(mesh)
-        gram_half = h_half_gram(M, B, 0.5)
-    L = sla.cholesky(gram_half, lower=True)
+    _, L = _gram_and_chol(mesh)
 
     lam_bound = guess.lam
     gam = _project_admissible(np.array(guess.values, dtype=complex), lam_bound)
@@ -494,12 +492,7 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
             break
         if it == max_iter:
             break
-        jac_cols = []
-        for Mj in cols:
-            jac_cols.append(_phi(L, Mj))
-            jac_cols.append(_phi(L, 1j * Mj))
-        J = np.column_stack(jac_cols)
-        step, *_ = np.linalg.lstsq(J, -rvec, rcond=None)
+        step, *_ = np.linalg.lstsq(_jacobian(L, cols), -rvec, rcond=None)
         dgam = step[0::2] + 1j * step[1::2]
         gam = _project_admissible(gam + dgam, lam_bound)
         if np.abs(dgam).max() < 1e-15 * max(np.abs(gam).max(), 1.0):
@@ -550,8 +543,8 @@ class SweepRecord:
     h: float
 
 
-def stability_sweep(pairs, mesh: Mesh, gram_half: np.ndarray | None = None,
-                    threads: int = 1, arc=None) -> list[SweepRecord]:
+def stability_sweep(pairs, mesh: Mesh, threads: int = 1,
+                    arc=None) -> list[SweepRecord]:
     """E and eps for each admittivity pair over one shared mesh.
 
     With `arc` (contiguous boundary positions) the data gap eps is measured
@@ -575,13 +568,8 @@ def stability_sweep(pairs, mesh: Mesh, gram_half: np.ndarray | None = None,
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(lam_of, uniq.values()))
 
-    if gram_half is None:
-        if pairs:
-            gram_half = lam_of(pairs[0][0]).gram_half()
-        else:
-            M, B = boundary_operators(mesh)
-            gram_half = h_half_gram(M, B, 0.5)
-
+    if pairs:
+        gram_half = lam_of(pairs[0][0]).gram_half()
     out = []
     for a1, a2 in pairs:
         E = a1.max_jump(a2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eitlab.cli as cli
+from eitlab.forward import FemSystem
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -197,3 +198,64 @@ def test_asymptotics_experiment(tmp_path):
     assert lines[0] == "r,deviation,grad_deviation"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["verdict"] == "bounded"
+
+
+_ASYMPTOTICS = {
+    "version": 1,
+    "experiment": "asymptotics",
+    "partition": {"n_strips": 2},
+    "mesh": {"h": 1 / 16},
+    "admittivity": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
+    "params": {"link": 2, "radii_over_r0": [0.25]},
+}
+_S_RATE = {
+    "version": 1,
+    "experiment": "s-rate",
+    "admittivity": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
+    "admittivity_2": {"values": [[1, 0], [1.5, 0]], "lambda": 10.0},
+    "params": {"k": 2},
+}
+_DTN_NORM = {
+    "version": 1,
+    "experiment": "dtn-norm",
+    "partition": {"n_strips": 3},
+    "mesh": {"h": 1 / 16},
+    "admittivity": {"values": [[1, 0], [2, 1], [1, 0]], "lambda": 10.0},
+    "admittivity_2": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
+}
+
+
+@pytest.mark.parametrize("base, path, value", [
+    (BASE_FORWARD, ("admittivity", "values"), [[float("nan"), 0], [1, 1]]),
+    (BASE_FORWARD, ("admittivity", "lambda"), float("inf")),
+    (_S_RATE, ("params", "radii_over_rho0"), ["a"]),
+    (_ASYMPTOTICS, ("params", "link"), 7),
+    (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.6]),
+    (_DTN_NORM, (), None),
+], ids=["nan-admittivity", "inf-lambda", "radius-not-a-number",
+        "no-such-link", "radius-beyond-r0", "strip-count-mismatch"])
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, base, path, value):
+    cfg = json.loads(json.dumps(base))
+    if path:
+        cfg[path[0]][path[1]] = value
+    assert cli.main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
+def test_corrector_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
+    factorize = FemSystem.lu.fget
+
+    class Skewed:
+        def __init__(self, system):
+            self.lu = factorize(system)
+
+        def solve(self, rhs):
+            return 1.01 * self.lu.solve(rhs)
+
+    monkeypatch.setattr(FemSystem, "lu", property(Skewed))
+    cfg = write_config(tmp_path, _ASYMPTOTICS)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "residual" in capsys.readouterr().err

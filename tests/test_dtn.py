@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg as sla
 
 import eitlab as el
-from eitlab.dtn import (boundary_operators, dtn_matrix, h_half_gram, local_dtn,
-                        operator_norm)
-from eitlab.forward import Admittivity
+from eitlab.dtn import (apply_dtn, boundary_operators, dtn_matrix, h_half_gram,
+                        local_dtn, operator_norm)
+from eitlab.forward import Admittivity, assemble
 
 
 def boundary_angles(mesh):
@@ -28,6 +28,18 @@ def test_dtn_constant_kernel_and_symmetry(strips2_mesh64):
     scale = np.abs(d.matrix).max()
     assert np.abs(d.matrix @ np.ones(d.n)).max() <= 1e-10 * scale
     assert np.abs(d.matrix - d.matrix.T).max() <= 1e-10 * scale
+
+
+def test_dtn_matrix_matches_matrix_free_action(strips3_mesh64, rng):
+    # apply_dtn lifts each trace through FemSystem.solve, not the Schur complement
+    p, m = strips3_mesh64
+    a = Admittivity([1.0, 2.0 + 1.0j, 1.5 - 0.5j])
+    d = dtn_matrix(m, a)
+    sys_ = assemble(m, a)
+    for _ in range(3):
+        f = rng.standard_normal(d.n) + 1j * rng.standard_normal(d.n)
+        ref = apply_dtn(m, a, f, system=sys_)
+        assert np.linalg.norm(d.matrix @ f - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_dtn_real_coefficients_give_real_symmetric(strips2_mesh64):

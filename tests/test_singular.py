@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eitlab as el
-from eitlab.forward import Admittivity, region_stiffness
+from eitlab.forward import Admittivity, FemSystem, SolverError, region_stiffness
 from eitlab.fundsol import TwoPhaseCoeffs, laplace_gamma
 from eitlab.geometry import GeometryError, Rect
 from eitlab.quadrature import TRI7_W, tri7_points
@@ -32,6 +32,23 @@ def test_placement_errors(strip_solver):
         sv.correction(node)                             # on a mesh node
     with pytest.raises(PlacementError):
         sv.correction(np.array([0.51, 0.26]), link=1)   # no region below edge 1
+
+
+def test_corrector_residual_failure_raises_solver_error(monkeypatch):
+    m = el.generate_mesh(el.build_partition(2), 1 / 16)
+    sv = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j]))
+    factorize = FemSystem.lu.fget
+
+    class Skewed:
+        def __init__(self, system):
+            self.lu = factorize(system)
+
+        def solve(self, rhs):
+            return 1.01 * self.lu.solve(rhs)
+
+    monkeypatch.setattr(FemSystem, "lu", property(Skewed))
+    with pytest.raises(SolverError):
+        sv.correction(np.array([0.51, 0.3]))
 
 
 def test_default_link(strip_solver):
