@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .forward import (Admittivity, EllipticityError, SolverError, boundary_trace,
+from .forward import (Admittivity, EllipticityError, SolverError,
                       caccioppoli_ratio, field_from_function, solve_dirichlet)
 from .dtn import dtn_matrix, local_dtn, operator_norm
 from .fundsol import TwoPhaseCoeffs
@@ -77,9 +77,18 @@ def _numbers(obj, path: str) -> list[float]:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
-def _int(obj, path: str) -> int:
+def _positive(obj, path: str) -> float:
+    x = _number(obj, path)
+    if not x > 0:
+        raise ValidationError(f"{path}: expected a positive number, got {x!r}")
+    return x
+
+
+def _int(obj, path: str, minimum: int | None = None) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise ValidationError(f"{path}: expected an integer, got {obj!r}")
+    if minimum is not None and obj < minimum:
+        raise ValidationError(f"{path}: expected an integer >= {minimum}, got {obj}")
     return obj
 
 
@@ -273,7 +282,7 @@ def _random_admissible(rng, n: int, lam: float) -> Admittivity:
 def _run_identity_check(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity")
     params = _params(scn, (), ("n_pairs",))
-    n_pairs = _int(params.get("n_pairs", 5), "config.params.n_pairs")
+    n_pairs = _int(params.get("n_pairs", 5), "config.params.n_pairs", minimum=1)
     nb = len(scn.mesh.boundary_nodes)
     lam = scn.admittivity.lam
     rows = []
@@ -286,7 +295,6 @@ def _run_identity_check(scn: Scenario, rng):
         lhs, rhs = alessandrini_pair(a1, a2, f1, f2, scn.mesh)
         rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         rows.append((i, lhs.real, lhs.imag, rhs.real, rhs.imag, rel))
-    _check_finite(rows, "identity-check")
     worst = max(r[-1] for r in rows)
     return {"identity.csv": (("pair_id", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                               "rel_err"), rows)}, {"max_rel_err": worst}
@@ -298,11 +306,12 @@ def _run_asymptotics(scn: Scenario, rng):
     link = _int(params["link"], "config.params.link")
     fracs = _numbers(params.get("radii_over_r0", [2.0 ** (-j) for j in range(2, 7)]),
                      "config.params.radii_over_r0")
+    if not fracs:
+        raise ValidationError("config.params.radii_over_r0: expected a nonempty list")
     radii = [f * scn.partition.r0 for f in fracs]
     solver = CorrectorSolver(scn.mesh, scn.admittivity)
     rows_raw, slope, verdict = asymptotics_check(solver, link, radii)
     rows = [(r.r, r.deviation, r.grad_deviation) for r in rows_raw]
-    _check_finite(rows, "asymptotics")
     return {"asymptotics.csv": (("r", "deviation", "grad_deviation"), rows)}, \
         {"slope": slope, "verdict": verdict}
 
@@ -313,16 +322,21 @@ def _run_s_rate(scn: Scenario, rng):
     k = _int(params["k"], "config.params.k")
     if not 2 <= k <= scn.admittivity.n:
         raise ValidationError("config.params.k: need an interior interface index")
-    rho0 = _number(params.get("rho0", 0.25), "config.params.rho0")
+    if scn.admittivity_2.n != scn.admittivity.n:
+        raise ValidationError(f"config.admittivity_2: {scn.admittivity_2.n} values, "
+                              f"config.admittivity has {scn.admittivity.n}")
+    rho0 = _positive(params.get("rho0", 0.25), "config.params.rho0")
     fracs = _numbers(params.get("radii_over_rho0", [2.0 ** (-j) for j in range(3, 8)]),
                      "config.params.radii_over_rho0")
+    if not fracs or min(fracs) <= 0:
+        raise ValidationError(
+            "config.params.radii_over_rho0: expected a nonempty list of positive numbers")
     c1 = TwoPhaseCoeffs(scn.admittivity.value_for(k), scn.admittivity.value_for(k - 1))
     c2 = TwoPhaseCoeffs(scn.admittivity_2.value_for(k), scn.admittivity_2.value_for(k - 1))
     jump = scn.admittivity.value_for(k) - scn.admittivity_2.value_for(k)
     radii, vals, slope = half_space_probe_rate(c1, c2, jump,
                                                [f * rho0 for f in fracs], rho0)
     rows = [(float(r), float(abs(v)), slope) for r, v in zip(radii, vals)]
-    _check_finite(rows, "s-rate")
     return {"s_rate.csv": (("r", "abs_S", "fit_slope"), rows)}, {"fit_slope": slope}
 
 
@@ -330,8 +344,10 @@ def _run_reconstruct(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity")
     params = _params(scn, (), ("guess", "noise_levels", "max_iter"))
     truth = scn.admittivity
-    max_iter = _int(params.get("max_iter", 30), "config.params.max_iter")
+    max_iter = _int(params.get("max_iter", 30), "config.params.max_iter", minimum=0)
     if "guess" in params:
+        if not isinstance(params["guess"], list) or len(params["guess"]) != truth.n:
+            raise ValidationError(f"config.params.guess: expected {truth.n} [re, im] pairs")
         gvals = [_complex_pair(v, "config.params.guess") for v in params["guess"]]
         guess = Admittivity(tuple(gvals), lam=truth.lam)
     else:
@@ -341,7 +357,6 @@ def _run_reconstruct(scn: Scenario, rng):
     res = gauss_newton_reconstruct(target.matrix, scn.mesh, guess,
                                    max_iter=max_iter, truth=truth)
     log_rows = [(it, mis, err) for it, mis, err in res.history]
-    _check_finite(log_rows, "reconstruct")
     files = {"recon_log.csv": (("iter", "misfit", "err_inf"), log_rows)}
     extras = {"iterations": res.iterations, "converged": res.converged,
               "final_err_inf": res.history[-1][2]}
@@ -355,7 +370,6 @@ def _run_reconstruct(scn: Scenario, rng):
             r = gauss_newton_reconstruct(target.matrix + eta * S, scn.mesh, guess,
                                          max_iter=max_iter, truth=truth)
             noise_rows.append((eta, r.history[-1][1], r.admittivity.max_jump(truth)))
-        _check_finite(noise_rows, "reconstruct noise sweep")
         files["noise_sweep.csv"] = (("eta", "misfit", "err_inf"), noise_rows)
         extras["sigma_min"] = sens.sigma_min
     return files, extras
@@ -363,7 +377,7 @@ def _run_reconstruct(scn: Scenario, rng):
 
 def _run_constant_bound(scn: Scenario, rng):
     params = _params(scn, (), ("n_max", "C", "dim"))
-    n_max = _int(params.get("n_max", 6), "config.params.n_max")
+    n_max = _int(params.get("n_max", 6), "config.params.n_max", minimum=1)
     C = _number(params.get("C", 1.0), "config.params.C")
     dim = _int(params.get("dim", 3), "config.params.dim")
     try:
@@ -388,6 +402,8 @@ def _run_sweep(scn: Scenario, rng, threads: int = 1):
     idx_pairs = params.get("pairs")
     if idx_pairs is None:
         idx_pairs = [[0, i] for i in range(1, len(scn.admittivities))]
+    if not isinstance(idx_pairs, list) or not idx_pairs:
+        raise ValidationError("config.params.pairs: expected a nonempty list of [i, j] pairs")
     pairs = []
     for pr in idx_pairs:
         if (not isinstance(pr, list)) or len(pr) != 2:
@@ -401,25 +417,26 @@ def _run_sweep(scn: Scenario, rng, threads: int = 1):
     recs = stability_sweep(pairs, scn.mesh, threads=threads, arc=arc)
     rows = [(sid, scn.partition.n_strips, r.E, r.eps, r.ratio, r.h)
             for sid, r in enumerate(recs)]
-    _check_finite(rows, "sweep")
     return {"sweep.csv": (("scenario_id", "N", "E", "eps", "ratio", "h"), rows)}, \
         {"max_ratio": max(r.ratio for r in recs)}
 
 
 def _run_three_sphere(scn: Scenario, rng):
     params = _params(scn, (), ("n_samples", "max_degree", "radius"))
-    n_samples = _int(params.get("n_samples", 200), "config.params.n_samples")
-    max_degree = _int(params.get("max_degree", 6), "config.params.max_degree")
-    radius = _number(params.get("radius", 1.0), "config.params.radius")
+    n_samples = _int(params.get("n_samples", 200), "config.params.n_samples", minimum=0)
+    max_degree = _int(params.get("max_degree", 6), "config.params.max_degree", minimum=0)
+    if n_samples == max_degree == 0:
+        raise ValidationError("config.params: n_samples and max_degree are both 0, "
+                              "so there is no sample")
+    radius = _positive(params.get("radius", 1.0), "config.params.radius")
     rows = []
     for m in range(1, max_degree + 1):
         u = (lambda mm: (lambda x, y: ((np.asarray(x) + 1j * np.asarray(y)) ** mm).real))(m)
         rows.append((f"monomial_{m}", three_sphere_check(u, (0.0, 0.0), radius)))
     for i in range(n_samples):
         u = random_harmonic_polynomial(rng, max_degree)
-        ratio = three_sphere_check(u, (0.0, 0.0), radius)
-        rows.append((f"random_{i}", ratio if ratio is not None else math.nan))
-    _check_finite([(r[1],) for r in rows], "three-sphere")
+        rows.append((f"random_{i}", three_sphere_check(u, (0.0, 0.0), radius)))
+    rows = [(name, math.nan if ratio is None else ratio) for name, ratio in rows]
     return {"three_sphere.csv": (("sample_id", "ratio"), rows)}, \
         {"max_ratio": max(r[1] for r in rows)}
 
@@ -431,20 +448,16 @@ def _run_caccioppoli(scn: Scenario, rng):
     if not isinstance(x0, list) or len(x0) != 2:
         raise ValidationError("config.params.x0: expected [x, y]")
     x0 = tuple(_number(v, "config.params.x0") for v in x0)
-    rho = _number(params["rho"], "config.params.rho")
+    rho = _positive(params["rho"], "config.params.rho")
     R = _number(params["R"], "config.params.R")
-    n_samples = _int(params.get("n_samples", 50), "config.params.n_samples")
-    max_degree = _int(params.get("max_degree", 4), "config.params.max_degree")
+    if not rho < R:
+        raise ValidationError(f"config.params: need rho < R, got rho={rho}, R={R}")
+    n_samples = _int(params.get("n_samples", 50), "config.params.n_samples", minimum=1)
+    max_degree = _int(params.get("max_degree", 4), "config.params.max_degree", minimum=0)
     rows = []
     for i in range(n_samples):
         u = random_harmonic_polynomial(rng, max_degree, center=x0)
-        fld = field_from_function(scn.mesh, u)
-        try:
-            ratio = caccioppoli_ratio(fld, x0, rho, R)
-        except ValueError as exc:
-            raise ValidationError(f"config.params: {exc}") from exc
-        rows.append((i, ratio))
-    _check_finite(rows, "caccioppoli")
+        rows.append((i, caccioppoli_ratio(field_from_function(scn.mesh, u), x0, rho, R)))
     return {"caccioppoli.csv": (("sample_id", "ratio"), rows)}, \
         {"max_ratio": max(r[1] for r in rows)}
 
@@ -534,6 +547,8 @@ def run_scenario(config_path, out_dir=None, seed=None, threads: int = 1) -> Path
         raise ValidationError(str(exc)) from exc
     except SolverError as exc:
         raise NumericFailure(str(exc)) from exc
+    for name, (_, rows) in files.items():
+        _check_finite(rows, f"{scn.experiment} {name}")
 
     written = []
     for name, (header, rows) in files.items():

@@ -53,11 +53,6 @@ class DtNMap:
             self._gram_half = h_half_gram(self.mass, self.stiffness, 0.5)
         return self._gram_half
 
-    def norm_of_difference(self, other: "DtNMap") -> float:
-        if other.matrix.shape != self.matrix.shape:
-            raise ValueError("DtN maps of different sizes")
-        return operator_norm(self.matrix - other.matrix, self.gram_half())
-
     def to_csv(self, path) -> None:
         """Dense export: re/im interleaved DtN, then M, then B."""
         n = self.n
@@ -80,20 +75,16 @@ def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     bn = mesh.boundary_nodes
     nb = len(bn)
     pts = mesh.nodes[bn]
-    ell = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    ell = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)   # edge i -> i+1
+    i = np.arange(nb)
+    j = np.roll(i, -1)
     M = np.zeros((nb, nb))
     B = np.zeros((nb, nb))
-    for i in range(nb):
-        j = (i + 1) % nb
-        le = ell[i]
-        M[i, i] += le / 3.0
-        M[j, j] += le / 3.0
-        M[i, j] += le / 6.0
-        M[j, i] += le / 6.0
-        B[i, i] += 1.0 / le
-        B[j, j] += 1.0 / le
-        B[i, j] -= 1.0 / le
-        B[j, i] -= 1.0 / le
+    # node i closes edge i-1 and opens edge i
+    M[i, i] = np.roll(ell, 1) / 3.0 + ell / 3.0
+    M[i, j] = M[j, i] = ell / 6.0
+    B[i, i] = 1.0 / np.roll(ell, 1) + 1.0 / ell
+    B[i, j] = B[j, i] = -(1.0 / ell)
     return M, B
 
 
@@ -143,15 +134,19 @@ def h_half_gram(M: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
+def _whiten(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """L^{-1} Z L^{-T} for a lower-triangular L."""
+    t = sla.solve_triangular(L, Z, lower=True)
+    return sla.solve_triangular(L, t.T, lower=True).T
+
+
 def operator_norm(delta: np.ndarray, W_half: np.ndarray) -> float:
     """Largest singular value of L^{-1} delta L^{-T}, W_half = L L^T."""
     try:
         L = sla.cholesky(W_half, lower=True)
     except sla.LinAlgError as exc:
         raise ValueError("fractional Gram matrix is not positive definite") from exc
-    t1 = sla.solve_triangular(L, delta, lower=True)
-    core = sla.solve_triangular(L, t1.T, lower=True).T
-    return float(sla.svdvals(core)[0])
+    return float(sla.svdvals(_whiten(L, delta))[0])
 
 
 def local_dtn(d: DtNMap, arc: np.ndarray) -> DtNMap:

@@ -177,7 +177,7 @@ class FemSystem:
         u[self.interior] = self.lu.solve(rhs)
         sol = FieldSolution(mesh=self.mesh, values=u, trace=f, adm=self.adm)
         res = sol.interior_residual(self.matrix, self.interior, load)
-        if res > 1e-8:
+        if not res <= 1e-8:                  # NaN fails every comparison
             raise SolverError(
                 f"interior residual {res:.3e} exceeds tolerance; system may be "
                 "ill-conditioned (check the ellipticity bound)")
@@ -280,6 +280,12 @@ class FieldSolution:
             self._grads = np.einsum("ti,tid->td", vals, grads)
         return self._grads
 
+    def values_in(self, points: np.ndarray, tri: np.ndarray) -> np.ndarray:
+        """P1 values at `points`, point i lying in triangle tri[i]."""
+        first = self.mesh.triangles[tri, 0]
+        step = ((points - self.mesh.nodes[first]) * self.gradients()[tri]).sum(axis=1)
+        return self.values[first] + step
+
     def _locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Containing triangle and barycentric coordinates for each point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -358,19 +364,10 @@ def caccioppoli_ratio(u: FieldSolution, x0, rho: float, R: float,
     grad_density = (np.abs(u.gradients()[near]) ** 2).sum(axis=1)
     num = float(clipped_quadrature(tp[near], lambda points, parents: grad_density[parents],
                                    c, rho, inside=True, depth=depth))
-
     tri_sel = np.nonzero(near)[0]
-    nodes_vals = u.values[u.mesh.triangles]
-
-    def abs2(points, parents):
-        orig = tri_sel[parents]
-        p0 = tp[orig, 0]
-        g = u.gradients()[orig]
-        v0 = nodes_vals[orig, 0]
-        vals = v0 + ((points - p0) * g).sum(axis=1)
-        return np.abs(vals) ** 2
-
-    den = float(clipped_quadrature(tp[near], abs2, c, R, inside=True, depth=depth))
+    den = float(clipped_quadrature(
+        tp[near], lambda points, parents: np.abs(u.values_in(points, tri_sel[parents])) ** 2,
+        c, R, inside=True, depth=depth))
     if den == 0.0:
         return 0.0
     return (R - rho) ** 2 * num / den

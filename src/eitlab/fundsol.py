@@ -119,17 +119,16 @@ def _reflect(y: np.ndarray) -> np.ndarray:
     return ystar
 
 
-def _two_phase_eval(x, y, c: TwoPhaseCoeffs, n: int, grad: bool,
-                    x_side=None, y_side: float | None = None):
-    """Branch-wise evaluation; `x_side`/`y_side` override the sign of the last
-    coordinate to take one-sided limits on the interface."""
+def _two_phase_eval(x, y, c: TwoPhaseCoeffs, n: int, grad: bool, x_side=None):
+    """Branch-wise evaluation; `x_side` overrides the sign of the last
+    coordinate of x to take one-sided limits on the interface."""
     _check_dim(n)
     xs = _as_points(x, n)
     y = np.asarray(y, dtype=float)
     ystar = _reflect(y)
 
     sx = np.sign(xs[:, -1]) if x_side is None else np.full(len(xs), float(x_side))
-    sy = np.sign(y[-1]) if y_side is None else float(y_side)
+    sy = np.sign(y[-1])
     # points exactly on the interface: both neighbouring branches agree there,
     # pick the side opposite the source so the cross formula applies
     sx = np.where(sx == 0.0, -sy if sy != 0.0 else 1.0, sx)

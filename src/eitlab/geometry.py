@@ -79,10 +79,6 @@ class Rect:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def contains(self, p, tol: float = 0.0) -> bool:
         x, y = float(p[0]), float(p[1])
         return (self.x0 - tol <= x <= self.x1 + tol
@@ -125,11 +121,6 @@ class Interface:
     below: int | None
     above: int
     point: tuple[float, float]
-
-    @property
-    def length(self) -> float:
-        return self.x1 - self.x0
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -211,11 +202,6 @@ class Chain:
             raise NoChainError("chain repeats a region")
         if len(self.links) != max(len(self.regions) - 1, 0):
             raise NoChainError("chain links do not match its regions")
-
-    @property
-    def depth(self) -> int:
-        return len(self.regions)
-
 
 def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
                     with_extension: bool = False) -> Partition:

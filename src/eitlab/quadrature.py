@@ -37,7 +37,7 @@ def tri7_points(tris_pts: np.ndarray) -> np.ndarray:
     return np.einsum("qi,mid->mqd", TRI7_BARY, tris_pts)
 
 
-def integrate_on_triangles(tris_pts: np.ndarray, fn, parents=None):
+def integrate_on_triangles(tris_pts: np.ndarray, fn, parents: np.ndarray):
     """Integral of fn over every triangle; returns the sum.
 
     fn(points (k, 2), parents (k,)) -> values; `parents` carries the original
@@ -46,8 +46,6 @@ def integrate_on_triangles(tris_pts: np.ndarray, fn, parents=None):
     m = len(tris_pts)
     if m == 0:
         return 0.0
-    if parents is None:
-        parents = np.arange(m)
     qp = tri7_points(tris_pts).reshape(-1, 2)
     par = np.repeat(parents, 7)
     vals = np.asarray(fn(qp, par)).reshape(m, 7)
@@ -94,14 +92,13 @@ def _subdivide(tris_pts: np.ndarray, parents: np.ndarray):
 
 
 def clipped_quadrature(tris_pts: np.ndarray, fn, center, radius: float,
-                       inside: bool = True, depth: int = 8, parents=None):
+                       inside: bool = True, depth: int = 8):
     """Integral of fn over the union of (triangle intersect ball) pieces when
-    `inside`, or (triangle minus ball) pieces otherwise."""
+    `inside`, or (triangle minus ball) pieces otherwise; fn receives the index
+    of each piece's original triangle as its `parents` argument."""
     c = np.asarray(center, dtype=float)
-    if parents is None:
-        parents = np.arange(len(tris_pts))
     total = 0.0
-    cur, par = np.asarray(tris_pts, dtype=float), np.asarray(parents)
+    cur, par = np.asarray(tris_pts, dtype=float), np.arange(len(tris_pts))
     for level in range(depth + 1):
         if len(cur) == 0:
             break

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from .dtn import apply_dtn
-from .forward import Admittivity, FemSystem, FieldSolution, assemble, solve_dirichlet
+from .forward import Admittivity, FieldSolution, assemble, solve_dirichlet
 from .fundsol import TwoPhaseCoeffs, laplace_gamma, laplace_gamma_grad, \
     two_phase_gamma, two_phase_gamma_grad
 from .geometry import GeometryError, Mesh, Partition, Rect, Region, generate_mesh
@@ -80,9 +80,8 @@ class SingularSolution:
 
     y: np.ndarray
     link: int | None
-    coeffs: TwoPhaseCoeffs | None     # None: uniform medium around the source
+    coeffs: TwoPhaseCoeffs            # equal values: uniform medium around the source
     iface_y: float
-    uniform_gamma: complex
     w: FieldSolution
     mesh: Mesh
     adm: Admittivity
@@ -96,18 +95,12 @@ class SingularSolution:
     def kernel(self, points) -> np.ndarray:
         """Two-phase kernel part Gamma_l(points, y)."""
         pts, ysrc = self._local(points)
-        if self.coeffs is None:
-            vals = laplace_gamma(pts, ysrc, n=2) / self.uniform_gamma
-        else:
-            vals = two_phase_gamma(pts, ysrc, self.coeffs, n=2)
+        vals = two_phase_gamma(pts, ysrc, self.coeffs, n=2)
         return vals if np.ndim(points) > 1 else vals[0]
 
     def kernel_grad(self, points) -> np.ndarray:
         pts, ysrc = self._local(points)
-        if self.coeffs is None:
-            g = laplace_gamma_grad(pts, ysrc, n=2) / self.uniform_gamma
-        else:
-            g = two_phase_gamma_grad(pts, ysrc, self.coeffs, n=2)
+        g = two_phase_gamma_grad(pts, ysrc, self.coeffs, n=2)
         return g if np.ndim(points) > 1 else g[0]
 
     def evaluate(self, points) -> np.ndarray:
@@ -118,31 +111,28 @@ class SingularSolution:
 
     def h1_energy_excluding_ball(self, r: float, depth: int = 6) -> float:
         """Squared H1 norm of G over the domain minus the ball B_r(y)."""
-        mesh = self.mesh
-        tp = mesh.tri_points()
-        w_vals = self.w.values[mesh.triangles]
         w_grads = self.w.gradients()
 
         def density(points, parents):
             gk = self.kernel_grad(points)
             vk = self.kernel(points)
-            p0 = tp[parents, 0]
             gw = w_grads[parents]
-            vw = w_vals[parents, 0] + ((points - p0) * gw).sum(axis=1)
+            vw = self.w.values_in(points, parents)
             grad2 = np.abs(gk + gw) ** 2
             return grad2.sum(axis=1) + np.abs(vk + vw) ** 2
 
-        total = clipped_quadrature(tp, density, self.y, r, inside=False, depth=depth)
+        total = clipped_quadrature(self.mesh.tri_points(), density, self.y, r,
+                                   inside=False, depth=depth)
         return float(np.sqrt(np.real(total)))
 
 
 class CorrectorSolver:
     """Factorizes one admittivity once and serves many source points."""
 
-    def __init__(self, mesh: Mesh, adm: Admittivity, system: FemSystem | None = None):
+    def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh
         self.adm = adm
-        self.system = system if system is not None else assemble(mesh, adm)
+        self.system = assemble(mesh, adm)
         self._qpts = tri7_points(mesh.tri_points())      # (nt, 7, 2)
         self._elem_gamma = adm.element_values(mesh)
 
@@ -168,10 +158,11 @@ class CorrectorSolver:
 
         p = mesh.partition
         if p is None or (link is None and adm.n == 1 and not (p and p.with_extension)):
-            # uniform single-region domain (e.g. the disk): no interface pair
+            # uniform single-region domain (e.g. the disk): the two-phase
+            # kernel with equal values is the uniform kernel exactly
             region = 1 if p is None else p.region_of_point(y)
             gamma_y = adm.value_for(region)
-            coeffs, iface_y = None, 0.0
+            coeffs, iface_y = TwoPhaseCoeffs(gamma_y, gamma_y), 0.0
         else:
             if link is None:
                 link = default_link(p, y)
@@ -185,17 +176,13 @@ class CorrectorSolver:
                     f"source region {region_y} is not adjacent to interface {link}")
             coeffs = TwoPhaseCoeffs(adm.value_for(s.above), adm.value_for(s.below))
             iface_y = s.y
-            gamma_y = adm.value_for(region_y)
 
         sol = SingularSolution(y=y, link=link, coeffs=coeffs, iface_y=iface_y,
-                               uniform_gamma=gamma_y, w=None, mesh=mesh, adm=adm)
+                               w=None, mesh=mesh, adm=adm)
 
-        # gtilde: coefficient minus its two-phase (or uniform) approximation
+        # gtilde: coefficient minus its two-phase approximation
         cen = mesh.centroids()
-        if coeffs is None:
-            approx = np.full(mesh.n_triangles, gamma_y, dtype=complex)
-        else:
-            approx = np.where(cen[:, 1] > iface_y, coeffs.gamma_plus, coeffs.gamma_minus)
+        approx = np.where(cen[:, 1] > iface_y, coeffs.gamma_plus, coeffs.gamma_minus)
         gtilde = self._elem_gamma - approx
 
         b = np.zeros(mesh.n_nodes, dtype=complex)
@@ -215,12 +202,10 @@ class CorrectorSolver:
         return sol
 
 
-def green_correction(mesh: Mesh, adm: Admittivity, y, link: int | None = None,
-                     solver: CorrectorSolver | None = None,
-                     check_placement: bool = True) -> SingularSolution:
+def green_correction(mesh: Mesh, adm: Admittivity, y,
+                     link: int | None = None) -> SingularSolution:
     """Singular solution G(., y) = Gamma_l(., y) + w for a source y in K."""
-    sv = solver if solver is not None else CorrectorSolver(mesh, adm)
-    return sv.correction(y, link=link, check_placement=check_placement)
+    return CorrectorSolver(mesh, adm).correction(y, link=link)
 
 
 @dataclass(frozen=True)
@@ -230,12 +215,12 @@ class AsymptoticsRow:
     grad_deviation: float
 
 
-def asymptotics_check(solver: CorrectorSolver, link: int, radii,
-                      P=None, lateral_shift: float | None = None):
+def asymptotics_check(solver: CorrectorSolver, link: int, radii):
     """Deviation of G from its cross-interface limit profile at dyadic radii.
 
     For each radius r the source sits at P - r*nu below the interface and the
-    evaluation point at P + r*nu above it (nu is the upward unit normal); the
+    evaluation point at P + r*nu above it (nu is the upward unit normal, P the
+    interface point shifted sideways by 0.31 h off the mesh lines); the
     deviation is |G - c Gamma| with c = 2/(gamma_below + gamma_above), and the
     gradient deviation its gradient analogue.  Returns (rows, slope, verdict)
     where slope fits log(deviation) against log(r) and the verdict is
@@ -253,10 +238,7 @@ def asymptotics_check(solver: CorrectorSolver, link: int, radii,
             f"radii must lie in (0, r0/2) = (0, {p.r0 / 2}) so both probe "
             "points stay inside the strips adjacent to the interface")
 
-    if P is None:
-        shift = 0.31 * solver.mesh.h if lateral_shift is None else lateral_shift
-        P = (s.point[0] + shift, s.point[1])
-    P = np.asarray(P, dtype=float)
+    P = np.array([s.point[0] + 0.31 * solver.mesh.h, s.point[1]])
     c = 2.0 / (solver.adm.value_for(s.below) + solver.adm.value_for(s.above))
 
     rows = []
@@ -316,7 +298,7 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
 
 
 def s_k_on_grid(solver1: CorrectorSolver, solver2: CorrectorSolver, k: int,
-                z, points, link1=None, link2=None) -> np.ndarray:
+                z, points, link2=None) -> np.ndarray:
     """S_k(y_i, z) for many probe points y_i (shared factorizations).
 
     Grid points may land on the interface itself: the probe field extends
@@ -326,8 +308,7 @@ def s_k_on_grid(solver1: CorrectorSolver, solver2: CorrectorSolver, k: int,
     gz = solver2.correction(np.asarray(z, dtype=float), link=link2)
     out = np.empty(len(points), dtype=complex)
     for i, y in enumerate(points):
-        gy = solver1.correction(np.asarray(y, dtype=float), link=link1,
-                                check_placement=False)
+        gy = solver1.correction(np.asarray(y, dtype=float), check_placement=False)
         out[i] = s_k_evaluate(gy, gz, k)
     return out
 
@@ -352,8 +333,7 @@ def _box_partition(p: Partition, box: Rect) -> Partition:
 
 
 def probe_field_residual(solver1: CorrectorSolver, solver2: CorrectorSolver,
-                         k: int, z, box: Rect, h_box: float,
-                         link1=None, link2=None):
+                         k: int, z, box: Rect, h_box: float, link2=None):
     """Weak-divergence residual of y -> S_k(y, z) sampled on a box grid.
 
     The sampled field is interpolated on a conforming grid of the box and
@@ -366,7 +346,7 @@ def probe_field_residual(solver1: CorrectorSolver, solver2: CorrectorSolver,
     p = solver1.mesh.partition
     bp = _box_partition(p, box)
     bmesh = generate_mesh(bp, h_box)
-    svals = s_k_on_grid(solver1, solver2, k, z, bmesh.nodes, link1, link2)
+    svals = s_k_on_grid(solver1, solver2, k, z, bmesh.nodes, link2)
 
     parts = region_stiffness(bmesh)
     A = sum(solver1.adm.value_for(lbl) * parts[lbl].astype(complex) for lbl in parts)

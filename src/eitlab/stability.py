@@ -11,12 +11,12 @@ representation rather than raw floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import boundary_operators, dtn_matrix, h_half_gram, operator_norm, schur
+from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm, schur
 from .forward import Admittivity, assemble, region_stiffness
 from .geometry import Mesh
 
@@ -206,9 +206,6 @@ class TowerFloat:
     def __lt__(self, other: "TowerFloat") -> bool:
         return self._key() < other._key()
 
-    def __le__(self, other: "TowerFloat") -> bool:
-        return self._key() <= other._key()
-
     def ge_times(self, other: "TowerFloat", q: float) -> bool:
         """self >= q * other, robust at any magnitude."""
         return other.mul(q)._key() <= self._key()
@@ -254,10 +251,6 @@ class ConstantTracker:
         if self.n1 < 1:
             raise ValueError("sphere-chain count must be at least 1")
 
-    @property
-    def tau(self) -> float:
-        return TAU
-
     def tau_r(self, r: float) -> float:
         if not 0.0 < r < self.r1:
             raise ValueError(f"radius must lie in (0, r1) = (0, {self.r1})")
@@ -271,9 +264,6 @@ class ConstantTracker:
         return ((k + 1) * self.n1 * math.log(TAU)
                 + (k + 1) * math.log(self.delta1)
                 + math.log(self.tau_r(r)))
-
-    def mu(self, k: int, r: float) -> float:
-        return math.exp(self.mu_log(k, r))
 
 
 @dataclass(frozen=True)
@@ -316,7 +306,10 @@ def constant_bound(N: int, tracker: ConstantTracker) -> ConstantBound:
     return ConstantBound(N, ln_bound.mul(1.0 / math.log(10.0)))
 
 
-def three_sphere_check(u, center, r: float, n_angles: int = 2048):
+_N_ANGLES = 2048     # sample points per circle in `three_sphere_check`
+
+
+def three_sphere_check(u, center, r: float):
     """Empirical three-sphere constant of a harmonic sample field.
 
     Returns sup|u| on the middle sphere divided by the tau-weighted product
@@ -324,7 +317,7 @@ def three_sphere_check(u, center, r: float, n_angles: int = 2048):
     For pure angular monomials the ratio is exactly 1 because 4^(1-tau) = 3.
     """
     cx, cy = float(center[0]), float(center[1])
-    th = 2 * np.pi * np.arange(n_angles) / n_angles
+    th = 2 * np.pi * np.arange(_N_ANGLES) / _N_ANGLES
     cos, sin = np.cos(th), np.sin(th)
 
     def sup_on(rad: float) -> float:
@@ -358,11 +351,6 @@ def random_harmonic_polynomial(rng: np.random.Generator, max_degree: int,
 
 # --- DtN sensitivity and reconstruction -------------------------------------
 
-def _weighted(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    t = sla.solve_triangular(L, Z, lower=True)
-    return sla.solve_triangular(L, t.T, lower=True).T
-
-
 def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Real coordinate vector of Z in the mode-averaged weighted metric.
 
@@ -372,7 +360,7 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     mode), so only the per-mode RMS gives h-stable sensitivities and
     misfits on the scale of the operator norm.
     """
-    return _stack_real(_weighted(L, Z)) / math.sqrt(Z.shape[0])
+    return _stack_real(_whiten(L, Z)) / math.sqrt(Z.shape[0])
 
 
 def _dtn_and_columns(mesh: Mesh, adm: Admittivity):

@@ -225,6 +225,73 @@ _DTN_NORM = {
 }
 
 
+_DTN_NORM_OK = {
+    "version": 1,
+    "experiment": "dtn-norm",
+    "partition": {"n_strips": 2},
+    "mesh": {"h": 1 / 16},
+    "admittivity": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
+    "admittivity_2": {"values": [[1.5, 0.5], [2, 1]], "lambda": 10.0},
+    "params": {"arc": "bottom"},
+}
+# the five runners no other test drives past validation, at small sizes, plus
+# the harmonic datum of `forward`
+_SMOKE = {
+    "forward-harmonic": dict(BASE_FORWARD, params={
+        "datum": {"kind": "harmonic", "degree": 3, "part": "im"}}),
+    "dtn-norm": _DTN_NORM_OK,
+    "reconstruct": {
+        "version": 1,
+        "experiment": "reconstruct",
+        "partition": {"n_strips": 2},
+        "mesh": {"h": 1 / 16},
+        "admittivity": {"values": [[1.5, 0.5], [2, 1]], "lambda": 10.0},
+        "params": {"max_iter": 8, "noise_levels": [1e-3]},
+    },
+    "s-rate": dict(_S_RATE, params={"k": 2, "radii_over_rho0": [0.5, 0.25]}),
+    "three-sphere": {
+        "version": 1,
+        "experiment": "three-sphere",
+        "seed": 3,
+        "params": {"n_samples": 4, "max_degree": 3, "radius": 0.5},
+    },
+    "caccioppoli": {
+        "version": 1,
+        "experiment": "caccioppoli",
+        "seed": 5,
+        "partition": {"n_strips": 2},
+        "mesh": {"h": 1 / 16},
+        "params": {"x0": [0.5, 0.5], "rho": 0.1, "R": 0.3, "n_samples": 3},
+    },
+}
+_IDENTITY = {
+    "version": 1,
+    "experiment": "identity-check",
+    "partition": {"n_strips": 2},
+    "mesh": {"h": 1 / 16},
+    "admittivity": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
+    "params": {"n_pairs": 2},
+}
+_SWEEP = {
+    "version": 1,
+    "experiment": "sweep",
+    "partition": {"n_strips": 2},
+    "mesh": {"h": 1 / 16},
+    "admittivities": [{"values": [[1, 0], [1, 0]]}, {"values": [[1.25, 0], [1, 0]]}],
+}
+
+
+def _with(base, path, value):
+    """Copy of `base` with the entry at key path `path` set to `value`."""
+    cfg = json.loads(json.dumps(base))
+    if path:
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return cfg
+
+
 @pytest.mark.parametrize("base, path, value", [
     (BASE_FORWARD, ("admittivity", "values"), [[float("nan"), 0], [1, 1]]),
     (BASE_FORWARD, ("admittivity", "lambda"), float("inf")),
@@ -232,17 +299,59 @@ _DTN_NORM = {
     (_ASYMPTOTICS, ("params", "link"), 7),
     (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.6]),
     (_DTN_NORM, (), None),
+    (_SMOKE["s-rate"], ("params", "radii_over_rho0"), []),
+    (_SMOKE["s-rate"], ("params", "radii_over_rho0"), [-0.1]),
+    (_SMOKE["s-rate"], ("params", "rho0"), 0),
+    (_SMOKE["s-rate"], ("admittivity_2", "values"), [[1, 0]]),
+    (_SMOKE["three-sphere"], ("params", "radius"), 0),
+    (_SMOKE["three-sphere"], ("params",), {"n_samples": 0, "max_degree": 0}),
+    (_IDENTITY, ("params", "n_pairs"), 0),
+    (_SMOKE["caccioppoli"], ("params", "n_samples"), 0),
+    (_SMOKE["caccioppoli"], ("params", "rho"), -0.1),
+    (_SMOKE["reconstruct"], ("params", "max_iter"), -1),
+    (_SMOKE["reconstruct"], ("params", "guess"), 5),
+    (_SWEEP, ("params",), {"pairs": 5}),
+    (_ASYMPTOTICS, ("params", "radii_over_r0"), []),
 ], ids=["nan-admittivity", "inf-lambda", "radius-not-a-number",
-        "no-such-link", "radius-beyond-r0", "strip-count-mismatch"])
+        "no-such-link", "radius-beyond-r0", "strip-count-mismatch",
+        "s-rate-no-radii", "s-rate-negative-radius", "s-rate-zero-rho0",
+        "s-rate-strip-count-mismatch",
+        "three-sphere-zero-radius", "three-sphere-no-samples",
+        "identity-no-pairs", "caccioppoli-no-samples", "caccioppoli-negative-rho",
+        "reconstruct-negative-max-iter", "reconstruct-guess-not-a-list",
+        "sweep-pairs-not-a-list", "asymptotics-no-radii"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, base, path, value):
-    cfg = json.loads(json.dumps(base))
-    if path:
-        cfg[path[0]][path[1]] = value
+    cfg = _with(base, path, value)
     assert cli.main(["run", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg", [
+    _with(BASE_FORWARD, ("params", "datum"), {"kind": "harmonic", "degree": -1}),
+    _with(_DTN_NORM_OK, ("admittivity_2",), _DTN_NORM_OK["admittivity"]),
+], ids=["forward-pole-at-a-node", "dtn-norm-zero-eps"])
+def test_nan_output_exits_3(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", sorted(_SMOKE))
+def test_runner_smoke_is_reproducible(tmp_path, kind):
+    cfg = write_config(tmp_path, _SMOKE[kind])
+    bodies = []
+    for run in ("a", "b"):
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / run)]) == 0
+        csvs = sorted((tmp_path / run).glob("*.csv"))
+        assert csvs
+        bodies.append({p.name: p.read_bytes() for p in csvs})
+    assert bodies[0] == bodies[1]
 
 
 def test_corrector_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
