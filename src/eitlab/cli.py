@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .forward import (Admittivity, EllipticityError, SolverError,
                       caccioppoli_ratio, field_from_function, solve_dirichlet)
-from .dtn import dtn_matrix, local_dtn, operator_norm
+from .dtn import dtn_matrix
 from .fundsol import TwoPhaseCoeffs
-from .geometry import (GeometryError, InvalidSpecError, TooCoarseError,
+from .geometry import (GeometryError, InvalidSpecError, TooCoarseError, _write_csv,
                        build_partition, generate_mesh, mesh_hash)
 from .singular import (CorrectorSolver, PlacementError, alessandrini_pair,
                        asymptotics_check, half_space_probe_rate)
@@ -75,6 +75,14 @@ def _numbers(obj, path: str) -> list[float]:
     if not isinstance(obj, list):
         raise ValidationError(f"{path}: expected a list of numbers")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+
+
+def _radii(obj, path: str) -> list[float]:
+    # a log-log slope needs two distinct radii
+    fracs = _numbers(obj, path)
+    if min(fracs, default=0.0) <= 0 or len(set(fracs)) < 2:
+        raise ValidationError(f"{path}: expected at least two distinct positive numbers")
+    return fracs
 
 
 def _positive(obj, path: str) -> float:
@@ -157,6 +165,7 @@ class Scenario:
         self.admittivities = [
             _parse_admittivity(a, f"config.admittivities[{i}]")
             for i, a in enumerate(raw.get("admittivities", []))]
+        self._check_strip_counts()
 
         self.mesh = None
         if "mesh" in raw:
@@ -175,34 +184,24 @@ class Scenario:
                 raise ValidationError(
                     f"config: experiment {self.experiment!r} requires {attr!r}")
 
-    def check_adm_matches(self, adm: Admittivity, path: str) -> None:
-        if self.partition is not None and adm.n != self.partition.n_strips:
-            raise ValidationError(
-                f"{path}: {adm.n} values for {self.partition.n_strips} strips")
+    def _check_strip_counts(self) -> None:
+        """Every admittivity has one value per strip of the partition, or,
+        without a partition, as many values as the first admittivity."""
+        named = [("config.admittivity", self.admittivity),
+                 ("config.admittivity_2", self.admittivity_2)]
+        named += [(f"config.admittivities[{i}]", a) for i, a in enumerate(self.admittivities)]
+        named = [(path, a) for path, a in named if a is not None]
+        if not named:
+            return
+        n = self.partition.n_strips if self.partition is not None else named[0][1].n
+        for path, adm in named:
+            if adm.n != n:
+                raise ValidationError(f"{path}: {adm.n} values for {n} strips")
 
 
 def _params(scn: Scenario, required: tuple, optional: tuple) -> dict:
     _require_keys(scn.params, "config.params", required, optional)
     return scn.params
-
-
-# --- CSV helpers -------------------------------------------------------------
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _check_finite(rows, context: str) -> None:
@@ -237,13 +236,9 @@ def _datum_fn(params: dict, path: str):
 
 def _run_forward(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity")
-    scn.check_adm_matches(scn.admittivity, "config.admittivity")
     params = _params(scn, (), ("datum",))
     fn = _datum_fn(params, "config.params.datum")
-    sol = solve_dirichlet(scn.mesh, scn.admittivity, fn)
-    rows = [(i, float(x), float(y), v.real, v.imag)
-            for i, ((x, y), v) in enumerate(zip(scn.mesh.nodes, sol.values))]
-    return {"solution.csv": (("node_index", "x", "y", "re_u", "im_u"), rows)}, {}
+    return {"solution.csv": solve_dirichlet(scn.mesh, scn.admittivity, fn).table()}, {}
 
 
 def _arc_positions(scn: Scenario, which: str) -> np.ndarray | None:
@@ -258,19 +253,11 @@ def _arc_positions(scn: Scenario, which: str) -> np.ndarray | None:
 
 def _run_dtn_norm(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity", "admittivity_2")
-    scn.check_adm_matches(scn.admittivity, "config.admittivity")
-    scn.check_adm_matches(scn.admittivity_2, "config.admittivity_2")
     params = _params(scn, (), ("arc",))
     arc = _arc_positions(scn, params.get("arc", "full"))
-    d1 = dtn_matrix(scn.mesh, scn.admittivity)
-    d2 = dtn_matrix(scn.mesh, scn.admittivity_2)
-    if arc is not None:
-        d1, d2 = local_dtn(d1, arc), local_dtn(d2, arc)
-    E = scn.admittivity.max_jump(scn.admittivity_2)
-    eps = operator_norm(d1.matrix - d2.matrix, d1.gram_half())
-    ratio = E / eps if eps > 0 else math.nan
-    rows = [(E, eps, ratio, scn.mesh.h)]
-    return {"dtn_norm.csv": (("E", "eps", "ratio", "h"), rows)}, {"E": E, "eps": eps}
+    r, = stability_sweep([(scn.admittivity, scn.admittivity_2)], scn.mesh, arc=arc)
+    return {"dtn_norm.csv": (("E", "eps", "ratio", "h"), [(r.E, r.eps, r.ratio, r.h)])}, \
+        {"E": r.E, "eps": r.eps}
 
 
 def _random_admissible(rng, n: int, lam: float) -> Admittivity:
@@ -304,10 +291,8 @@ def _run_asymptotics(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity")
     params = _params(scn, ("link",), ("radii_over_r0",))
     link = _int(params["link"], "config.params.link")
-    fracs = _numbers(params.get("radii_over_r0", [2.0 ** (-j) for j in range(2, 7)]),
-                     "config.params.radii_over_r0")
-    if not fracs:
-        raise ValidationError("config.params.radii_over_r0: expected a nonempty list")
+    fracs = _radii(params.get("radii_over_r0", [2.0 ** (-j) for j in range(2, 7)]),
+                   "config.params.radii_over_r0")
     radii = [f * scn.partition.r0 for f in fracs]
     solver = CorrectorSolver(scn.mesh, scn.admittivity)
     rows_raw, slope, verdict = asymptotics_check(solver, link, radii)
@@ -322,15 +307,9 @@ def _run_s_rate(scn: Scenario, rng):
     k = _int(params["k"], "config.params.k")
     if not 2 <= k <= scn.admittivity.n:
         raise ValidationError("config.params.k: need an interior interface index")
-    if scn.admittivity_2.n != scn.admittivity.n:
-        raise ValidationError(f"config.admittivity_2: {scn.admittivity_2.n} values, "
-                              f"config.admittivity has {scn.admittivity.n}")
     rho0 = _positive(params.get("rho0", 0.25), "config.params.rho0")
-    fracs = _numbers(params.get("radii_over_rho0", [2.0 ** (-j) for j in range(3, 8)]),
-                     "config.params.radii_over_rho0")
-    if not fracs or min(fracs) <= 0:
-        raise ValidationError(
-            "config.params.radii_over_rho0: expected a nonempty list of positive numbers")
+    fracs = _radii(params.get("radii_over_rho0", [2.0 ** (-j) for j in range(3, 8)]),
+                   "config.params.radii_over_rho0")
     c1 = TwoPhaseCoeffs(scn.admittivity.value_for(k), scn.admittivity.value_for(k - 1))
     c2 = TwoPhaseCoeffs(scn.admittivity_2.value_for(k), scn.admittivity_2.value_for(k - 1))
     jump = scn.admittivity.value_for(k) - scn.admittivity_2.value_for(k)
@@ -408,7 +387,7 @@ def _run_sweep(scn: Scenario, rng, threads: int = 1):
     for pr in idx_pairs:
         if (not isinstance(pr, list)) or len(pr) != 2:
             raise ValidationError("config.params.pairs: expected [i, j] pairs")
-        i, j = (_int(v, "config.params.pairs") for v in pr)
+        i, j = (_int(v, "config.params.pairs", minimum=0) for v in pr)
         try:
             pairs.append((scn.admittivities[i], scn.admittivities[j]))
         except IndexError as exc:

@@ -14,13 +14,13 @@ the sup of |<Delta f, conj(psi)>| over unit fractional-norm trace vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 from .forward import Admittivity, FemSystem, assemble
-from .geometry import Mesh, mesh_hash
+from .geometry import Mesh, _fmt, _write_csv, mesh_hash
 
 __all__ = [
     "DtNMap",
@@ -40,8 +40,7 @@ class DtNMap:
     matrix: np.ndarray       # complex symmetric, boundary trace basis
     mass: np.ndarray         # boundary mass M (SPD)
     stiffness: np.ndarray    # boundary 1D Laplace-Beltrami B (PSD)
-    mesh_hash: str = ""
-    h: float = 0.0
+    mesh: Mesh = field(repr=False)
     _gram_half: np.ndarray | None = None
 
     @property
@@ -56,18 +55,11 @@ class DtNMap:
     def to_csv(self, path) -> None:
         """Dense export: re/im interleaved DtN, then M, then B."""
         n = self.n
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write(f"# dtn v1 n={n} mesh={self.mesh_hash} h={self.h!r}\n")
-            f.write(",".join(
-                x for p in range(n) for x in (f"re_{p}", f"im_{p}")) + "\n")
-            for row in self.matrix:
-                f.write(",".join(f"{v.real!r},{v.imag!r}" for v in row) + "\n")
-            f.write("# mass\n")
-            for row in self.mass:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-            f.write("# stiffness\n")
-            for row in self.stiffness:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        interleaved = np.stack([self.matrix.real, self.matrix.imag], axis=2).reshape(n, -1)
+        header = f"# dtn v1 n={n} mesh={mesh_hash(self.mesh)} h={_fmt(self.mesh.h)}"
+        _write_csv(path, [header],
+                   [[f"{part}_{p}" for p in range(n) for part in ("re", "im")],
+                    *interleaved, ["# mass"], *self.mass, ["# stiffness"], *self.stiffness])
 
 
 def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +96,7 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity) -> DtNMap:
     """Schur complement of the stiffness onto the boundary trace basis."""
     lam, _ = schur(assemble(mesh, adm))
     M, B = boundary_operators(mesh)
-    return DtNMap(matrix=lam, mass=M, stiffness=B,
-                  mesh_hash=mesh_hash(mesh), h=mesh.h)
+    return DtNMap(matrix=lam, mass=M, stiffness=B, mesh=mesh)
 
 
 def apply_dtn(mesh: Mesh, adm: Admittivity, trace,
@@ -168,4 +159,4 @@ def local_dtn(d: DtNMap, arc: np.ndarray) -> DtNMap:
         raise ValueError("arc has no interior nodes")
     sub = np.ix_(interior, interior)
     return DtNMap(matrix=d.matrix[sub], mass=d.mass[sub],
-                  stiffness=d.stiffness[sub], mesh_hash=d.mesh_hash, h=d.h)
+                  stiffness=d.stiffness[sub], mesh=d.mesh)

@@ -16,7 +16,6 @@ function energy on concentric balls.
 from __future__ import annotations
 
 import cmath
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .geometry import GeometryError, Mesh
+from .geometry import GeometryError, Mesh, _write_csv
 from .quadrature import clipped_quadrature
 
 __all__ = [
@@ -109,9 +108,8 @@ def _p1_grads(mesh: Mesh):
         return mesh._cache["p1"]
     pts = mesh.tri_points()
     x, y = pts[..., 0], pts[..., 1]
-    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    area = 0.5 * det
+    area = mesh.areas()
+    det = 2.0 * area
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     grads = np.stack([b, c], axis=2) / det[:, None, None]   # (nt, 3, 2)
@@ -137,21 +135,25 @@ def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
     return out
 
 
+def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
+    """Complex stiffness: sum over the mesh's region labels j of gamma_j K_j."""
+    parts = region_stiffness(mesh)
+    return sum(adm.value_for(lbl) * parts[lbl].astype(complex) for lbl in parts).tocsr()
+
+
 class FemSystem:
     """Assembled complex-symmetric stiffness with a factorized interior block."""
 
     def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh
         self.adm = adm
-        parts = region_stiffness(mesh)
         labels = set(np.unique(mesh.tri_region).tolist())
         expected = set(range(0, adm.n + 1)) if 0 in labels else set(range(1, adm.n + 1))
         if labels != expected:
             raise GeometryError(
                 f"mesh region labels {sorted(labels)} do not match an "
                 f"{adm.n}-strip admittivity")
-        A = sum(adm.value_for(lbl) * parts[lbl].astype(complex) for lbl in sorted(labels))
-        self.matrix = A.tocsr()
+        self.matrix = stiffness(mesh, adm)
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
         self._lu = None
@@ -296,7 +298,7 @@ class FieldSolution:
         x0, y0 = tp[:, 0, 0], tp[:, 0, 1]
         e1 = tp[:, 1] - tp[:, 0]
         e2 = tp[:, 2] - tp[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        det = 2.0 * self.mesh.areas()
         for start in range(0, len(pts), 256):
             chunk = pts[start:start + 256]
             dx = chunk[:, None, 0] - x0[None, :]
@@ -325,15 +327,14 @@ class FieldSolution:
         g = self.gradients()[tri_idx]
         return g[0] if np.ndim(points) == 1 else g
 
-    def to_csv(self, path_or_buf) -> None:
-        """Rows `node_index, x, y, re_u, im_u`."""
-        buf = path_or_buf if hasattr(path_or_buf, "write") else io.StringIO()
-        buf.write("node_index,x,y,re_u,im_u\n")
-        for i, ((x, y), v) in enumerate(zip(self.mesh.nodes, self.values)):
-            buf.write(f"{i},{x!r},{y!r},{v.real!r},{v.imag!r}\n")
-        if buf is not path_or_buf:
-            with open(path_or_buf, "w", encoding="ascii", newline="\n") as f:
-                f.write(buf.getvalue())
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """Header and one row `node_index, x, y, re_u, im_u` per node."""
+        rows = [(i, float(x), float(y), v.real, v.imag)
+                for i, ((x, y), v) in enumerate(zip(self.mesh.nodes, self.values))]
+        return ("node_index", "x", "y", "re_u", "im_u"), rows
+
+    def to_csv(self, path) -> None:
+        _write_csv(path, *self.table())
 
 
 def field_from_function(mesh: Mesh, fn, adm: Admittivity | None = None) -> FieldSolution:

@@ -9,7 +9,8 @@ and probe machinery in the rest of the library relies on.
 Meshes are structured right-triangle grids whose node rows always contain the
 strip interfaces, so every triangle lies in exactly one region.  A concentric
 ring triangulation of a disk is provided as a second, single-region domain
-for spectral oracles.
+for spectral oracles.  The plain-text formats live here too: the mesh file
+and the one number format every CSV writer uses.
 """
 
 from __future__ import annotations
@@ -325,10 +326,7 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         if "areas" not in self._cache:
-            pts = self.tri_points()
-            e1 = pts[:, 1] - pts[:, 0]
-            e2 = pts[:, 2] - pts[:, 0]
-            self._cache["areas"] = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            self._cache["areas"] = _signed_areas(self.tri_points())
         return self._cache["areas"]
 
     def centroids(self) -> np.ndarray:
@@ -359,12 +357,15 @@ class Mesh:
                 and lo[1] <= cy - radius and cy + radius <= hi[1])
 
 
+def _signed_areas(tris_pts: np.ndarray) -> np.ndarray:
+    """Signed area of each triangle (m, 3, 2); positive when counterclockwise."""
+    e1 = tris_pts[:, 1] - tris_pts[:, 0]
+    e2 = tris_pts[:, 2] - tris_pts[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
 def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    pts = nodes[tris]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    flip = det < 0
+    flip = _signed_areas(nodes[tris]) < 0
     tris = tris.copy()
     tris[flip, 1], tris[flip, 2] = tris[flip, 2].copy(), tris[flip, 1].copy()
     return tris
@@ -492,19 +493,40 @@ def generate_disk_mesh(h: float, radius: float = 1.0, center=(0.0, 0.0)) -> Mesh
     return mesh
 
 
-# --- plain-text mesh format -------------------------------------------------
+# --- plain-text formats -----------------------------------------------------
+#
+# Every number written by the package goes through `_fmt`: floats as Python
+# float repr (round-trips exactly through float()), integers as plain digits.
 #
 # mesh v1 <nnodes> <ntris> <nbedges>
 # x y            (node lines)
 # i j k region   (triangle lines)
 # i j            (boundary edge lines)
 
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv(path, header, rows) -> None:
+    """One comma-joined header line, then one line per row, LF endings."""
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def _mesh_text(mesh: Mesh) -> str:
     out = io.StringIO()
     be = mesh.boundary_edges
     out.write(f"mesh v1 {mesh.n_nodes} {mesh.n_triangles} {len(be)}\n")
     for x, y in mesh.nodes:
-        out.write(f"{float(x)!r} {float(y)!r}\n")
+        out.write(f"{_fmt(x)} {_fmt(y)}\n")
     for (i, j, k), reg in zip(mesh.triangles, mesh.tri_region):
         out.write(f"{i} {j} {k} {reg}\n")
     for i, j in be:
@@ -527,8 +549,8 @@ def read_mesh(path) -> Mesh:
         rows = np.array([[int(v) for v in f.readline().split()] for _ in range(nt)])
         bedges = np.array([[int(v) for v in f.readline().split()] for _ in range(nb)])
     edge_len = np.linalg.norm(nodes[bedges[:, 0]] - nodes[bedges[:, 1]], axis=1)
-    return Mesh(nodes=nodes, triangles=rows[:, :3], tri_region=rows[:, 3],
-                boundary_nodes=bedges[:, 0], interface_edges={},
+    return Mesh(nodes=nodes, triangles=_orient_ccw(nodes, rows[:, :3]),
+                tri_region=rows[:, 3], boundary_nodes=bedges[:, 0], interface_edges={},
                 h=float(edge_len.min()))
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _signed_areas
+
 __all__ = ["TRI7_BARY", "TRI7_W", "tri7_points", "triangle_areas",
            "integrate_on_triangles", "clipped_quadrature"]
 
@@ -27,9 +29,7 @@ TRI7_W = np.array([0.225,
 
 
 def triangle_areas(tris_pts: np.ndarray) -> np.ndarray:
-    e1 = tris_pts[:, 1] - tris_pts[:, 0]
-    e2 = tris_pts[:, 2] - tris_pts[:, 0]
-    return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return np.abs(_signed_areas(tris_pts))
 
 
 def tri7_points(tris_pts: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from .dtn import apply_dtn
-from .forward import Admittivity, FieldSolution, assemble, solve_dirichlet
+from .forward import (Admittivity, FieldSolution, _p1_grads, assemble, solve_dirichlet,
+                      stiffness)
 from .fundsol import TwoPhaseCoeffs, laplace_gamma, laplace_gamma_grad, \
     two_phase_gamma, two_phase_gamma_grad
 from .geometry import GeometryError, Mesh, Partition, Rect, Region, generate_mesh
@@ -190,7 +191,6 @@ class CorrectorSolver:
         if np.any(active):
             qp = self._qpts[active]                       # (m, 7, 2)
             gk = sol.kernel_grad(qp.reshape(-1, 2)).reshape(-1, 7, 2)
-            from .forward import _p1_grads
             area, grads = _p1_grads(mesh)
             # b_i = -sum_T gtilde_T area_T sum_q w_q grad Gamma_l(x_q) . grad phi_i
             contrib = -np.einsum("m,m,mqd,q,mid->mi",
@@ -341,16 +341,12 @@ def probe_field_residual(solver1: CorrectorSolver, solver2: CorrectorSolver,
     for the true probe field the residual vanishes under grid refinement.
     Returns (max residual, sampled values, box mesh).
     """
-    from .forward import region_stiffness
-
     p = solver1.mesh.partition
     bp = _box_partition(p, box)
     bmesh = generate_mesh(bp, h_box)
     svals = s_k_on_grid(solver1, solver2, k, z, bmesh.nodes, link2)
 
-    parts = region_stiffness(bmesh)
-    A = sum(solver1.adm.value_for(lbl) * parts[lbl].astype(complex) for lbl in parts)
-    resid = A @ svals
+    resid = stiffness(bmesh, solver1.adm) @ svals
     interior = bmesh.interior_nodes()
     scale = max(np.abs(svals).max(), 1e-300)
     return float(np.abs(resid[interior]).max() / scale), svals, bmesh

@@ -206,7 +206,7 @@ _ASYMPTOTICS = {
     "partition": {"n_strips": 2},
     "mesh": {"h": 1 / 16},
     "admittivity": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
-    "params": {"link": 2, "radii_over_r0": [0.25]},
+    "params": {"link": 2, "radii_over_r0": [0.25, 0.125]},
 }
 _S_RATE = {
     "version": 1,
@@ -297,7 +297,7 @@ def _with(base, path, value):
     (BASE_FORWARD, ("admittivity", "lambda"), float("inf")),
     (_S_RATE, ("params", "radii_over_rho0"), ["a"]),
     (_ASYMPTOTICS, ("params", "link"), 7),
-    (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.6]),
+    (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.6, 0.25]),
     (_DTN_NORM, (), None),
     (_SMOKE["s-rate"], ("params", "radii_over_rho0"), []),
     (_SMOKE["s-rate"], ("params", "radii_over_rho0"), [-0.1]),
@@ -312,6 +312,11 @@ def _with(base, path, value):
     (_SMOKE["reconstruct"], ("params", "guess"), 5),
     (_SWEEP, ("params",), {"pairs": 5}),
     (_ASYMPTOTICS, ("params", "radii_over_r0"), []),
+    (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.25]),
+    (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.25, 0.25]),
+    (_SMOKE["s-rate"], ("params", "radii_over_rho0"), [0.5]),
+    (_SWEEP, ("params",), {"pairs": [[0, -1]]}),
+    (_SWEEP, ("admittivities", 1), {"values": [[1.25, 0], [1, 0], [1, 0]]}),
 ], ids=["nan-admittivity", "inf-lambda", "radius-not-a-number",
         "no-such-link", "radius-beyond-r0", "strip-count-mismatch",
         "s-rate-no-radii", "s-rate-negative-radius", "s-rate-zero-rho0",
@@ -319,13 +324,24 @@ def _with(base, path, value):
         "three-sphere-zero-radius", "three-sphere-no-samples",
         "identity-no-pairs", "caccioppoli-no-samples", "caccioppoli-negative-rho",
         "reconstruct-negative-max-iter", "reconstruct-guess-not-a-list",
-        "sweep-pairs-not-a-list", "asymptotics-no-radii"])
+        "sweep-pairs-not-a-list", "asymptotics-no-radii", "asymptotics-one-radius",
+        "asymptotics-repeated-radius", "s-rate-one-radius", "sweep-negative-pair-index",
+        "sweep-mixed-strip-counts"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, base, path, value):
     cfg = _with(base, path, value)
     assert cli.main(["run", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
+def test_sweep_mixed_strip_counts_rejected_at_parse_time_with_two_threads(tmp_path, capsys):
+    cfg = _with(_SWEEP, ("admittivities", 1), {"values": [[1.25, 0], [1, 0], [1, 0]]})
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out"),
+                     "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "config.admittivities[1]: 3 values for 2 strips" in err
     assert "Traceback" not in err
 
 

@@ -153,4 +153,16 @@ def test_dtn_csv_export(tmp_path, strips2_mesh64):
     d.to_csv(path)
     text = path.read_text().splitlines()
     assert text[0].startswith("# dtn v1")
-    assert d.mesh_hash in text[0]
+    assert el.mesh_hash(m) in text[0]
+
+    def block(lines):
+        return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+    n = d.n
+    body = block(text[2:2 + n])
+    assert np.array_equal(body[:, 0::2], d.matrix.real)
+    assert np.array_equal(body[:, 1::2], d.matrix.imag)
+    assert text[2 + n] == "# mass"
+    assert np.array_equal(block(text[3 + n:3 + 2 * n]), d.mass)
+    assert text[3 + 2 * n] == "# stiffness"
+    assert np.array_equal(block(text[4 + 2 * n:]), d.stiffness)

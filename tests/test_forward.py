@@ -270,3 +270,8 @@ def test_field_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "node_index,x,y,re_u,im_u"
     assert len(lines) == 1 + m.n_nodes
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(data[:, 0], np.arange(m.n_nodes))
+    assert np.array_equal(data[:, 1:3], m.nodes)
+    assert np.array_equal(data[:, 3], u.values.real)
+    assert np.array_equal(data[:, 4], u.values.imag)

@@ -172,6 +172,25 @@ def test_mesh_io_roundtrip(tmp_path):
     assert mesh_hash(m) == mesh_hash(el.generate_mesh(p, 1 / 8))
 
 
+def test_read_mesh_orients_clockwise_triangles(tmp_path):
+    p = el.build_partition(2)
+    m = el.generate_mesh(p, 1 / 8)
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    lines = path.read_text().splitlines()
+    first = 1 + m.n_nodes
+    for t in range(0, m.n_triangles, 2):            # every other triangle clockwise
+        i, j, k, region = lines[first + t].split()
+        lines[first + t] = f"{i} {k} {j} {region}"
+    path.write_text("\n".join(lines) + "\n")
+    flipped = read_mesh(path)
+    assert np.all(flipped.areas() > 0)
+    adm = el.Admittivity([1.0, 2.0 + 1.0j])
+    u = el.solve_dirichlet(m, adm, lambda x, y: x + 1j * y)
+    v = el.solve_dirichlet(flipped, adm, lambda x, y: x + 1j * y)
+    assert np.allclose(v.values, u.values, rtol=0.0, atol=1e-12)
+
+
 def test_chain_set_column():
     p = el.build_partition(3)
     assert p.chain_set_contains((0.5, 0.5))
