@@ -142,16 +142,18 @@ class Scenario:
     def __init__(self, raw: dict):
         _require_keys(raw, "config", ("version", "experiment"),
                       tuple(k for k in _TOP_KEYS if k not in ("version", "experiment")))
-        if raw["version"] != 1:
+        if _int(raw["version"], "config.version") != 1:
             raise ValidationError(f"config.version: unsupported version {raw['version']!r}")
-        if raw["experiment"] not in EXPERIMENTS:
+        if not isinstance(raw["experiment"], str) or raw["experiment"] not in EXPERIMENTS:
             raise ValidationError(
                 f"config.experiment: unknown kind {raw['experiment']!r}; "
                 f"choose from {sorted(EXPERIMENTS)}")
         self.raw = raw
         self.experiment = raw["experiment"]
-        self.seed = _int(raw.get("seed", 0), "config.seed")
+        self.seed = _int(raw.get("seed", 0), "config.seed", minimum=0)
         self.out_dir = raw.get("out_dir")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ValidationError("config.out_dir: expected a string")
         self.params = raw.get("params", {})
         if not isinstance(self.params, dict):
             raise ValidationError("config.params: expected an object")
@@ -162,6 +164,8 @@ class Scenario:
             if "admittivity" in raw else None
         self.admittivity_2 = _parse_admittivity(raw["admittivity_2"], "config.admittivity_2") \
             if "admittivity_2" in raw else None
+        if not isinstance(raw.get("admittivities", []), list):
+            raise ValidationError("config.admittivities: expected a list")
         self.admittivities = [
             _parse_admittivity(a, f"config.admittivities[{i}]")
             for i, a in enumerate(raw.get("admittivities", []))]
@@ -361,11 +365,11 @@ def _run_constant_bound(scn: Scenario, rng):
     dim = _int(params.get("dim", 3), "config.params.dim")
     try:
         tracker = ConstantTracker(n=dim, c_base=C)
+        bounds = [constant_bound(N, tracker) for N in range(1, n_max + 1)]
     except ValueError as exc:
         raise ValidationError(f"config.params: {exc}") from exc
     rows = []
-    for N in range(1, n_max + 1):
-        cb = constant_bound(N, tracker)
+    for N, cb in enumerate(bounds, start=1):
         t = cb.log10
         rows.append((N, t.to_float() if t.to_float() != math.inf else "",
                      t.depth, t.value))
@@ -495,6 +499,7 @@ def list_experiments(as_json: bool = False) -> str:
 def run_scenario(config_path, out_dir=None, seed=None, threads: int = 1) -> Path:
     """Execute one scenario file; returns the output directory."""
     t0 = time.perf_counter()
+    _int(threads, "--threads", minimum=1)
     path = Path(config_path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -508,7 +513,7 @@ def run_scenario(config_path, out_dir=None, seed=None, threads: int = 1) -> Path
 
     scn = Scenario(raw)
     if seed is not None:
-        scn.seed = seed
+        scn.seed = _int(seed, "--seed", minimum=0)
     rng = np.random.default_rng(scn.seed)
 
     out = Path(out_dir) if out_dir is not None else \

@@ -99,12 +99,10 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity) -> DtNMap:
     return DtNMap(matrix=lam, mass=M, stiffness=B, mesh=mesh)
 
 
-def apply_dtn(mesh: Mesh, adm: Admittivity, trace,
-              system: FemSystem | None = None) -> np.ndarray:
+def apply_dtn(system: FemSystem, trace) -> np.ndarray:
     """Matrix-free DtN action: boundary residual of the harmonic lifting."""
-    sys_ = system if system is not None else assemble(mesh, adm)
-    u = sys_.solve(np.asarray(trace, dtype=complex))
-    return (sys_.matrix @ u.values)[sys_.boundary]
+    u = system.solve(np.asarray(trace, dtype=complex))
+    return (system.matrix @ u.values)[system.boundary]
 
 
 def h_half_gram(M: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:

@@ -390,6 +390,10 @@ def generate_mesh(p: Partition, h: float) -> Mesh:
         raise TooCoarseError(f"mesh size {h} does not resolve strip thickness {tmin}")
 
     dom = p.domain
+    # the int64 triangle array (48 bytes per cell) is the largest array built,
+    # and numpy cannot allocate more than intp-max bytes
+    if 48 * (dom.width / h) * (dom.height / h) > np.iinfo(np.intp).max:
+        raise InvalidSpecError(f"mesh size {h} gives more cells than an array can hold")
     nx = _subdivisions(dom.width, h)
     xs = np.linspace(dom.x0, dom.x1, nx + 1)
 

@@ -370,8 +370,8 @@ def alessandrini_pair(a1: Admittivity, a2: Admittivity, f1, f2,
     lhs = complex(np.sum(diff * mesh.areas() * dots))
 
     t1 = u1.trace
-    lam1_f2 = apply_dtn(mesh, a1, u2.trace, system=sys1)
-    lam2_f2 = (sys2.matrix @ u2.values)[sys2.boundary]
+    lam1_f2 = apply_dtn(sys1, u2.trace)
+    lam2_f2 = apply_dtn(sys2, u2.trace)
     rhs = complex(t1 @ (lam1_f2 - lam2_f2))
     return lhs, rhs
 

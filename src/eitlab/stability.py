@@ -11,12 +11,14 @@ representation rather than raw floats.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm, schur
+from .dtn import (_whiten, boundary_operators, dtn_matrix, h_half_gram, local_dtn,
+                  operator_norm, schur)
 from .forward import Admittivity, assemble, region_stiffness
 from .geometry import Mesh
 
@@ -246,8 +248,11 @@ class ConstantTracker:
         if not 0.0 < self.r1 <= self.r0:
             raise ValueError("need 0 < r1 <= r0")
         if self.n1 is None:
-            cn = math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
-            object.__setattr__(self, "n1", self.area / (cn * self.r1 ** self.n) + 1.0)
+            try:           # c_n r1^n leaves the float range from n = 221 on
+                cn = math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
+                object.__setattr__(self, "n1", self.area / (cn * self.r1 ** self.n) + 1.0)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ValueError(f"sphere-chain count overflows in dimension {self.n}") from exc
         if self.n1 < 1:
             raise ValueError("sphere-chain count must be at least 1")
 
@@ -352,7 +357,7 @@ def random_harmonic_polynomial(rng: np.random.Generator, max_degree: int,
 # --- DtN sensitivity and reconstruction -------------------------------------
 
 def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Real coordinate vector of Z in the mode-averaged weighted metric.
+    """Complex coordinate vector of Z in the mode-averaged weighted metric.
 
     The whitened matrix is divided by sqrt(n_boundary): the raw Frobenius
     norm of a whitened DtN block grows like the square root of the mode
@@ -360,7 +365,7 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     mode), so only the per-mode RMS gives h-stable sensitivities and
     misfits on the scale of the operator norm.
     """
-    return _stack_real(_whiten(L, Z)) / math.sqrt(Z.shape[0])
+    return _whiten(L, Z).ravel() / math.sqrt(Z.shape[0])
 
 
 def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
@@ -380,13 +385,9 @@ def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
     return lam, cols
 
 
-def _stack_real(Z: np.ndarray) -> np.ndarray:
-    return np.concatenate([Z.real.ravel(), Z.imag.ravel()])
-
-
 def _jacobian(L: np.ndarray, cols) -> np.ndarray:
-    """Weighted real Jacobian, columns ordered (Re g_1, Im g_1, Re g_2, ...)."""
-    return np.column_stack([_phi(L, z) for Mj in cols for z in (Mj, 1j * Mj)])
+    """Weighted complex Jacobian, one column per strip value."""
+    return np.column_stack([_phi(L, Mj) for Mj in cols])
 
 
 def _gram_and_chol(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +400,7 @@ def _gram_and_chol(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class SensitivityResult:
     columns: list            # d Lam / d gamma_j, complex symmetric, unweighted
-    jacobian: np.ndarray     # real (2 nb^2, 2N) in the weighted metric
+    jacobian: np.ndarray     # complex (nb^2, N) in the weighted metric
     sigma_min: float
     sigma_max: float
     gram_half: np.ndarray
@@ -409,11 +410,12 @@ class SensitivityResult:
 def sensitivity_jacobian(mesh: Mesh, adm: Admittivity) -> SensitivityResult:
     """Exact Jacobian of the coefficient-to-DtN map in the weighted metric.
 
-    The stiffness is affine in every strip value, so each derivative matrix
-    is the boundary reduction of one strip's real stiffness through the
-    current harmonic lifting.  Columns are ordered (Re g_1, Im g_1, Re g_2,
-    ...); the smallest singular value is the reciprocal of the local
-    Lipschitz constant of the finite-dimensional inverse problem.
+    The stiffness is complex-linear in every strip value, so the map from
+    strip values to DtN matrices is holomorphic and its derivative has one
+    complex column per strip: the boundary reduction of that strip's real
+    stiffness through the current harmonic lifting.  The smallest singular
+    value is the reciprocal of the local Lipschitz constant of the
+    finite-dimensional inverse problem.
     """
     gram_half, L = _gram_and_chol(mesh)
     _, cols = _dtn_and_columns(mesh, adm)
@@ -456,12 +458,12 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
                              truth: Admittivity | None = None) -> ReconstructionResult:
     """Recover strip values by Gauss-Newton on the weighted DtN misfit.
 
-    `target` is a DtN matrix (or DtNMap) generated on the same mesh; the
-    misfit is the Frobenius norm of the whitened difference, the step solves
-    the linearized least-squares problem with the exact Jacobian, and every
-    iterate is projected back onto the admissible set.
+    `target` is a DtN matrix generated on the same mesh; the misfit is the
+    Frobenius norm of the whitened difference, the step solves the
+    linearized complex least-squares problem with the exact Jacobian, and
+    every iterate is projected back onto the admissible set.
     """
-    target_mat = target.matrix if hasattr(target, "matrix") else np.asarray(target)
+    target_mat = np.asarray(target)
     _, L = _gram_and_chol(mesh)
 
     lam_bound = guess.lam
@@ -480,8 +482,7 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
             break
         if it == max_iter:
             break
-        step, *_ = np.linalg.lstsq(_jacobian(L, cols), -rvec, rcond=None)
-        dgam = step[0::2] + 1j * step[1::2]
+        dgam, *_ = np.linalg.lstsq(_jacobian(L, cols), -rvec, rcond=None)
         gam = _project_admissible(gam + dgam, lam_bound)
         if np.abs(dgam).max() < 1e-15 * max(np.abs(gam).max(), 1.0):
             break
@@ -509,12 +510,10 @@ def worst_case_perturbation(sens: SensitivityResult) -> np.ndarray:
     value, whose whitened unvec is complex symmetric by construction.
     Scaling it by eta produces a parameter error of about eta / sigma_min.
     """
-    U = np.linalg.svd(sens.jacobian, full_matrices=False)[0]
-    u = U[:, -1]
-    nb = sens.gram_half.shape[0]
-    Zw = (u[:nb * nb] + 1j * u[nb * nb:]).reshape(nb, nb)
-    Zw = 0.5 * (Zw + Zw.T)
     L = sens.chol
+    U = np.linalg.svd(sens.jacobian, full_matrices=False)[0]
+    Zw = U[:, -1].reshape(L.shape)
+    Zw = 0.5 * (Zw + Zw.T)
     S = L @ Zw @ L.T
     return S / np.linalg.norm(_phi(L, S))
 
@@ -540,28 +539,21 @@ def stability_sweep(pairs, mesh: Mesh, threads: int = 1,
     full map of a mirror-symmetric strip stack cannot order strips by depth,
     while bottom-edge data sees deeper strips exponentially more weakly.
     """
-    from .dtn import local_dtn
+    def dtn_of(adm: Admittivity):
+        # restrict in the worker, so only arc-sized maps are kept
+        d = dtn_matrix(mesh, adm)
+        return local_dtn(d, arc) if arc is not None else d
 
-    def lam_of(adm: Admittivity):
-        key = adm.values
-        if key not in cache:
-            d = dtn_matrix(mesh, adm)
-            cache[key] = local_dtn(d, arc) if arc is not None else d
-        return cache[key]
-
-    cache: dict[tuple, object] = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        uniq = {a.values: a for pair in pairs for a in pair}
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lam_of, uniq.values()))
+    uniq = {a.values: a for pair in pairs for a in pair}
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        maps = dict(zip(uniq, ex.map(dtn_of, uniq.values())))
 
     if pairs:
-        gram_half = lam_of(pairs[0][0]).gram_half()
+        gram_half = maps[pairs[0][0].values].gram_half()
     out = []
     for a1, a2 in pairs:
         E = a1.max_jump(a2)
-        eps = operator_norm(lam_of(a1).matrix - lam_of(a2).matrix, gram_half)
+        eps = operator_norm(maps[a1.values].matrix - maps[a2.values].matrix, gram_half)
         ratio = E / eps if eps > 0 else math.nan
         out.append(SweepRecord(a1.values, a2.values, E, eps, ratio, mesh.h))
     return out

@@ -279,6 +279,11 @@ _SWEEP = {
     "mesh": {"h": 1 / 16},
     "admittivities": [{"values": [[1, 0], [1, 0]]}, {"values": [[1.25, 0], [1, 0]]}],
 }
+_CONSTANT_BOUND = {
+    "version": 1,
+    "experiment": "constant-bound",
+    "params": {"n_max": 2, "C": 1.0, "dim": 3},
+}
 
 
 def _with(base, path, value):
@@ -317,6 +322,14 @@ def _with(base, path, value):
     (_SMOKE["s-rate"], ("params", "radii_over_rho0"), [0.5]),
     (_SWEEP, ("params",), {"pairs": [[0, -1]]}),
     (_SWEEP, ("admittivities", 1), {"values": [[1.25, 0], [1, 0], [1, 0]]}),
+    (BASE_FORWARD, ("experiment",), ["forward"]),
+    (BASE_FORWARD, ("out_dir",), 5),
+    (_SWEEP, ("admittivities",), 5),
+    (BASE_FORWARD, ("seed",), -1),
+    (BASE_FORWARD, ("mesh", "h"), 1e-300),
+    (_CONSTANT_BOUND, ("params", "dim"), 400),
+    (_CONSTANT_BOUND, ("params",), {"dim": 5, "C": 0.1}),
+    (BASE_FORWARD, ("version",), True),
 ], ids=["nan-admittivity", "inf-lambda", "radius-not-a-number",
         "no-such-link", "radius-beyond-r0", "strip-count-mismatch",
         "s-rate-no-radii", "s-rate-negative-radius", "s-rate-zero-rho0",
@@ -326,7 +339,9 @@ def _with(base, path, value):
         "reconstruct-negative-max-iter", "reconstruct-guess-not-a-list",
         "sweep-pairs-not-a-list", "asymptotics-no-radii", "asymptotics-one-radius",
         "asymptotics-repeated-radius", "s-rate-one-radius", "sweep-negative-pair-index",
-        "sweep-mixed-strip-counts"])
+        "sweep-mixed-strip-counts", "experiment-not-a-string", "out-dir-not-a-string",
+        "admittivities-not-a-list", "negative-seed", "unrepresentable-mesh-size",
+        "constant-bound-huge-dim", "constant-bound-outside-branch", "version-true"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, base, path, value):
     cfg = _with(base, path, value)
     assert cli.main(["run", str(write_config(tmp_path, cfg)),
@@ -334,6 +349,17 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, base, path, valu
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--seed", "-1"]],
+                         ids=["zero-threads", "negative-seed"])
+def test_bad_flag_exits_2_without_traceback(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, _SWEEP)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_mixed_strip_counts_rejected_at_parse_time_with_two_threads(tmp_path, capsys):

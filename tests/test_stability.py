@@ -196,6 +196,23 @@ def test_sensitivity_matches_finite_differences():
         assert rel <= 1e-6
 
 
+def test_sensitivity_jacobian_is_complex_with_one_column_per_strip():
+    # gamma -> Lam is holomorphic, so the real form of the derivative lists
+    # each singular value of the complex Jacobian exactly twice
+    p = el.build_partition(3)
+    m = el.generate_mesh(p, 1 / 16)
+    sens = sensitivity_jacobian(m, Admittivity([1.0, 1.0 + 0.5j, 2.0]))
+    J = sens.jacobian
+    nb = len(m.boundary_nodes)
+    assert np.iscomplexobj(J)
+    assert J.shape == (nb * nb, 3)
+    real_form = np.block([[J.real, -J.imag], [J.imag, J.real]])
+    sv = np.linalg.svd(J, compute_uv=False)
+    assert np.linalg.svd(real_form, compute_uv=False) == pytest.approx(
+        np.repeat(sv, 2), abs=1e-12)
+    assert (sens.sigma_min, sens.sigma_max) == pytest.approx((sv[-1], sv[0]), rel=1e-12)
+
+
 def test_sensitivity_sigma_min_stable_under_refinement():
     p = el.build_partition(4)
     a = Admittivity([1.0, 1.0 + 0.5j, 2.0, 1.5])
