@@ -4,8 +4,8 @@ Pairing the gradients of two singular solutions against the coefficient
 difference over a half-ball, with the source a distance r below the
 interface, produces a value that scales like 1/r as r shrinks: the blow-up
 that lets boundary data pin down the coefficient jump on the far side of an
-interface.  The integral is evaluated by adaptive quadrature of the actual
-two-phase kernels in cylindrical coordinates.
+interface.  The integral is evaluated by a fixed two-panel Gauss-Legendre
+rule on the actual two-phase kernels, in coordinates centred on the source.
 """
 
 import numpy as np

@@ -314,9 +314,12 @@ def _run_s_rate(scn: Scenario, rng):
     rho0 = _positive(params.get("rho0", 0.25), "config.params.rho0")
     fracs = _radii(params.get("radii_over_rho0", [2.0 ** (-j) for j in range(3, 8)]),
                    "config.params.radii_over_rho0")
+    jump = scn.admittivity.value_for(k) - scn.admittivity_2.value_for(k)
+    if jump == 0:
+        raise ValidationError(f"config.admittivity_2: equals config.admittivity at strip "
+                              f"{k}, so the probe integral vanishes at every depth")
     c1 = TwoPhaseCoeffs(scn.admittivity.value_for(k), scn.admittivity.value_for(k - 1))
     c2 = TwoPhaseCoeffs(scn.admittivity_2.value_for(k), scn.admittivity_2.value_for(k - 1))
-    jump = scn.admittivity.value_for(k) - scn.admittivity_2.value_for(k)
     radii, vals, slope = half_space_probe_rate(c1, c2, jump,
                                                [f * rho0 for f in fracs], rho0)
     rows = [(float(r), float(abs(v)), slope) for r, v in zip(radii, vals)]

@@ -101,8 +101,7 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity) -> DtNMap:
 
 def apply_dtn(system: FemSystem, trace) -> np.ndarray:
     """Matrix-free DtN action: boundary residual of the harmonic lifting."""
-    u = system.solve(np.asarray(trace, dtype=complex))
-    return (system.matrix @ u.values)[system.boundary]
+    return system.boundary_flux(system.solve(trace))
 
 
 def h_half_gram(M: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:

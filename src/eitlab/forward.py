@@ -185,6 +185,11 @@ class FemSystem:
                 "ill-conditioned (check the ellipticity bound)")
         return sol
 
+    def boundary_flux(self, u: "FieldSolution") -> np.ndarray:
+        """Boundary residual of a solved field: its discrete conormal flux,
+        which is the DtN map applied to the field's trace."""
+        return (self.matrix @ u.values)[self.boundary]
+
 
 def assemble(mesh: Mesh, adm: Admittivity) -> FemSystem:
     """Stiffness system for the given mesh and admittivity."""

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 MIN_ANGLE_FLOOR_DEG = 20.0
+# Largest node count `generate_mesh` builds: about 60 times the finest mesh the
+# tests, demos and benchmark use (16 770 nodes at h = 1/128), and small enough
+# that the mesh arrays fit in a laptop's memory.
+MAX_MESH_NODES = 1_000_000
 
 
 class InvalidSpecError(ValueError):
@@ -390,17 +394,21 @@ def generate_mesh(p: Partition, h: float) -> Mesh:
         raise TooCoarseError(f"mesh size {h} does not resolve strip thickness {tmin}")
 
     dom = p.domain
-    # the int64 triangle array (48 bytes per cell) is the largest array built,
-    # and numpy cannot allocate more than intp-max bytes
-    if 48 * (dom.width / h) * (dom.height / h) > np.iinfo(np.intp).max:
-        raise InvalidSpecError(f"mesh size {h} gives more cells than an array can hold")
+    strips = sorted(p.regions, key=lambda r: r.y0)
+    # count the nodes before any array is built; the float product, a lower
+    # bound on the count, goes first because extent / h is inf for a subnormal h
+    too_many = f"mesh size {h} gives more than {MAX_MESH_NODES} nodes"
+    if (dom.width / h) * (dom.height / h) > MAX_MESH_NODES:
+        raise InvalidSpecError(too_many)
     nx = _subdivisions(dom.width, h)
+    row_counts = [_subdivisions(r.thickness, h) for r in strips]
+    if (nx + 1) * (sum(row_counts) + 1) > MAX_MESH_NODES:
+        raise InvalidSpecError(too_many)
     xs = np.linspace(dom.x0, dom.x1, nx + 1)
 
     ys_parts = [np.array([dom.y0])]
     row_region = []   # region label per cell row
-    for r in sorted(p.regions, key=lambda r: r.y0):
-        ny = _subdivisions(r.thickness, h)
+    for r, ny in zip(strips, row_counts):
         ys_parts.append(np.linspace(r.y0, r.y1, ny + 1)[1:])
         row_region.extend([r.label] * ny)
     ys = np.concatenate(ys_parts)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 
 from .dtn import apply_dtn
 from .forward import (Admittivity, FieldSolution, _p1_grads, assemble, solve_dirichlet,
@@ -358,7 +357,7 @@ def alessandrini_pair(a1: Admittivity, a2: Admittivity, f1, f2,
 
     lhs = sum over triangles of (gamma1 - gamma2) grad u1 . grad u2 (exact for
     P1 fields); rhs = f1^T (Lam1 - Lam2) f2 through matrix-free DtN actions,
-    pairing without conjugation.
+    pairing without conjugation.  Lam2 f2 is the boundary flux of u2 itself.
     """
     sys1 = assemble(mesh, a1)
     sys2 = assemble(mesh, a2)
@@ -369,11 +368,16 @@ def alessandrini_pair(a1: Admittivity, a2: Admittivity, f1, f2,
     dots = (u1.gradients() * u2.gradients()).sum(axis=1)
     lhs = complex(np.sum(diff * mesh.areas() * dots))
 
-    t1 = u1.trace
     lam1_f2 = apply_dtn(sys1, u2.trace)
-    lam2_f2 = apply_dtn(sys2, u2.trace)
-    rhs = complex(t1 @ (lam1_f2 - lam2_f2))
+    lam2_f2 = sys2.boundary_flux(u2)
+    rhs = complex(u1.trace @ (lam1_f2 - lam2_f2))
     return lhs, rhs
+
+
+# Fixed product Gauss-Legendre rule of the half-ball probe, applied on each of
+# its two panels: nodes in u = 1/|x - y| by nodes in d = 1 - cos(theta).
+_PROBE_U_RULE = np.polynomial.legendre.leggauss(32)
+_PROBE_D_RULE = np.polynomial.legendre.leggauss(16)
 
 
 def half_space_probe_integral(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs,
@@ -383,23 +387,48 @@ def half_space_probe_integral(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs,
     The source sits at depth r below the interface, the integration region is
     {|x| < rho0, x_3 > 0}, and the integrand is jump * grad K1 . grad K2 for
     the two two-phase kernels.  Axisymmetry reduces the integral to the
-    (radius, height) plane.
+    (radius, height) plane, taken in source-centred coordinates s = |x - y|
+    and d = 1 - cos(theta), theta the angle from the upward axis.  There the
+    weight 2 pi rho drho dz is 2 pi s^4 du dd with u = 1/s, which is flat for
+    the 1/s^4 cross-branch integrand.  The region splits at the rim
+    s = q = sqrt(r^2 + rho0^2) into two smooth panels:
+
+        interface panel  u in [1/q, 1/r],          d < 1 - r u
+        sphere panel     u in [1/(r + rho0), 1/q], d < (rho0^2 - (1/u - r)^2) u / (2 r)
+
+    Panel widths, s - r and the bounds on d are written in forms that do not
+    cancel when the source is very near the interface or very far from it.
     """
     if not (0 < r and 0 < rho0):
         raise ValueError("radius and region size must be positive")
-    y = np.array([0.0, 0.0, -float(r)])
+    q = math.hypot(r, rho0)
+    tu, wu = _PROBE_U_RULE
+    tau, wtau = (tu + 1.0) / 2.0, wu / 2.0          # the u rule moved to [0, 1]
+    td, wd = _PROBE_D_RULE
 
-    def integrand(rho, z):
-        x = np.array([rho, 0.0, z])
-        g1 = two_phase_gamma_grad(x, y, c1, n=3)
-        g2 = two_phase_gamma_grad(x, y, c2, n=3)
-        return 2.0 * np.pi * rho * complex(jump) * (g1 @ g2)
+    # interface panel, u = 1/r - w_i tau, so 1 - r u = r w_i tau
+    w_i = rho0 ** 2 / (r * q * (q + r))
+    u_i = 1.0 / r - w_i * tau
+    dmax_i = r * w_i * tau
+    # sphere panel, u = 1/(r + rho0) + w_s tau, so r + rho0 - s = (r + rho0) w_s tau / u
+    w_s = 2.0 * r * rho0 / (q * (r + rho0) * (r + rho0 + q))
+    u_s = 1.0 / (r + rho0) + w_s * tau
+    sr_s = (rho0 / (r + rho0) - r * w_s * tau) / u_s
+    dmax_s = rho0 * tau * (rho0 + sr_s) / (q * (r + rho0 + q))
 
-    re, _ = dblquad(lambda rho, z: integrand(rho, z).real, 0.0, rho0,
-                    0.0, lambda z: math.sqrt(rho0 ** 2 - z ** 2))
-    im, _ = dblquad(lambda rho, z: integrand(rho, z).imag, 0.0, rho0,
-                    0.0, lambda z: math.sqrt(rho0 ** 2 - z ** 2))
-    return complex(re, im)
+    s = 1.0 / np.concatenate([u_i, u_s])[:, None]
+    s_minus_r = np.concatenate([dmax_i / u_i, sr_s])[:, None]
+    du = np.concatenate([w_i * wtau, w_s * wtau])[:, None]
+    d_max = np.concatenate([dmax_i, dmax_s])[:, None]
+    d = d_max * (td + 1.0) / 2.0
+    weight = 2.0 * np.pi * s ** 4 * du * (d_max * wd / 2.0)
+    rho = s * np.sqrt(d * (2.0 - d))
+    z = s_minus_r - s * d
+    x = np.stack([rho, np.zeros_like(rho), z], axis=-1).reshape(-1, 3)
+    y = np.array([0.0, 0.0, -r])
+    g1 = two_phase_gamma_grad(x, y, c1, n=3)
+    g2 = two_phase_gamma_grad(x, y, c2, n=3)
+    return complex(jump) * complex(weight.ravel() @ (g1 * g2).sum(axis=1))
 
 
 def half_space_probe_rate(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs, jump: complex,

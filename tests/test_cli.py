@@ -330,6 +330,8 @@ def _with(base, path, value):
     (_CONSTANT_BOUND, ("params", "dim"), 400),
     (_CONSTANT_BOUND, ("params",), {"dim": 5, "C": 0.1}),
     (BASE_FORWARD, ("version",), True),
+    (_S_RATE, ("admittivity_2", "values"), [[1, 0], [2, 1]]),
+    (BASE_FORWARD, ("mesh", "h"), 1e-9),
 ], ids=["nan-admittivity", "inf-lambda", "radius-not-a-number",
         "no-such-link", "radius-beyond-r0", "strip-count-mismatch",
         "s-rate-no-radii", "s-rate-negative-radius", "s-rate-zero-rho0",
@@ -341,14 +343,17 @@ def _with(base, path, value):
         "asymptotics-repeated-radius", "s-rate-one-radius", "sweep-negative-pair-index",
         "sweep-mixed-strip-counts", "experiment-not-a-string", "out-dir-not-a-string",
         "admittivities-not-a-list", "negative-seed", "unrepresentable-mesh-size",
-        "constant-bound-huge-dim", "constant-bound-outside-branch", "version-true"])
-def test_bad_config_exits_2_without_traceback(tmp_path, capsys, base, path, value):
+        "constant-bound-huge-dim", "constant-bound-outside-branch", "version-true",
+        "s-rate-zero-jump", "mesh-too-many-nodes"])
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, recwarn, base, path,
+                                              value):
     cfg = _with(base, path, value)
     assert cli.main(["run", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+    assert not [str(w.message) for w in recwarn]
 
 
 @pytest.mark.parametrize("flags", [["--threads", "0"], ["--seed", "-1"]],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import eitlab as el
+from eitlab import geometry
 from eitlab.geometry import (InvalidSpecError, NoChainError, TooCoarseError,
                              mesh_hash, read_mesh, write_mesh)
 
@@ -101,6 +102,22 @@ def test_too_coarse():
         el.generate_mesh(p, 0.5)   # h equal to the strip thickness
     with pytest.raises(InvalidSpecError):
         el.generate_mesh(p, 0.0)
+
+
+def test_mesh_node_count_is_bounded(monkeypatch):
+    p = el.build_partition(3)
+    # about 1e18 cells, and inf cells for a subnormal h: both are refused
+    # before any array is allocated
+    for h in (1e-9, 5e-324):
+        with pytest.raises(InvalidSpecError, match="nodes"):
+            el.generate_mesh(p, h)
+    # the exact count is checked, not only its float lower bound (64 here)
+    n = el.generate_mesh(p, 1 / 8).n_nodes
+    monkeypatch.setattr(geometry, "MAX_MESH_NODES", n)
+    assert el.generate_mesh(p, 1 / 8).n_nodes == n
+    monkeypatch.setattr(geometry, "MAX_MESH_NODES", n - 1)
+    with pytest.raises(InvalidSpecError, match="nodes"):
+        el.generate_mesh(p, 1 / 8)
 
 
 def test_refinement_nesting():

@@ -293,6 +293,40 @@ def test_half_space_probe_matches_closed_form():
     assert abs(got - want) / abs(want) <= 1e-6
 
 
+def _probe_closed_form_base(r, rho0):
+    """1/r - 1/(r + rho0) - log((r + rho0)^2 / (r^2 + rho0^2)) / (2 r).
+
+    Far from the interface the float form cancels, so r * base is summed as
+    its power series in x = rho0 / r, whose x and x^2 terms vanish:
+    sum over n >= 3 of (-1)^(n+1) (1 - 1/n) x^n, plus (-1)^(n/2+1) x^n / n
+    for even n, that is (2/3) x^3 - x^4 + ...
+    """
+    if r <= 4 * rho0:
+        return (1.0 / r - 1.0 / (r + rho0)
+                - np.log1p(2 * r * rho0 / (r ** 2 + rho0 ** 2)) / (2 * r))
+    x = rho0 / r
+    total = 0.0
+    for n in range(40, 2, -1):
+        term = (-1) ** (n + 1) * (1 - 1 / n)
+        if n % 2 == 0:
+            term += (-1) ** (n // 2 + 1) / n
+        total += term * x ** n
+    return total / r
+
+
+@pytest.mark.parametrize("ratio_log2", [-30, -7, 0, 1, 5, 10])
+def test_half_space_probe_matches_closed_form_across_depths(ratio_log2):
+    c1 = TwoPhaseCoeffs(2.0 + 0.5j, 1.0)
+    c2 = TwoPhaseCoeffs(1.5, 1.0)
+    jump = (2.0 + 0.5j) - 1.5
+    rho0 = 0.25
+    r = rho0 * 2.0 ** ratio_log2
+    want = (jump * c1.cross_coefficient * c2.cross_coefficient
+            * _probe_closed_form_base(r, rho0) / (16 * np.pi))
+    got = half_space_probe_integral(c1, c2, jump, r, rho0)
+    assert abs(got - want) / abs(want) <= 1e-12
+
+
 def test_half_space_probe_rate_slope():
     c1 = TwoPhaseCoeffs(2.0 + 0.5j, 1.0)
     c2 = TwoPhaseCoeffs(1.5, 1.0)
