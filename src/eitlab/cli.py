@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .forward import (Admittivity, EllipticityError, SolverError,
+from .forward import (Admittivity, EllipticityError, SolverError, boundary_trace,
                       caccioppoli_ratio, field_from_function, solve_dirichlet)
 from .dtn import dtn_matrix
 from .fundsol import TwoPhaseCoeffs
-from .geometry import (GeometryError, InvalidSpecError, TooCoarseError, _write_csv,
-                       build_partition, generate_mesh, mesh_hash)
+from .geometry import (GeometryError, InvalidSpecError, TooCoarseError, _open_new,
+                       _write_csv, build_partition, generate_mesh, mesh_hash)
 from .singular import (CorrectorSolver, PlacementError, alessandrini_pair,
                        asymptotics_check, half_space_probe_rate)
 from .stability import (ConstantTracker, constant_bound, gauss_newton_reconstruct,
@@ -242,7 +242,11 @@ def _run_forward(scn: Scenario, rng):
     scn.need("partition", "mesh", "admittivity")
     params = _params(scn, (), ("datum",))
     fn = _datum_fn(params, "config.params.datum")
-    return {"solution.csv": solve_dirichlet(scn.mesh, scn.admittivity, fn).table()}, {}
+    with np.errstate(all="ignore"):     # a pole on the boundary is reported below
+        trace = boundary_trace(scn.mesh, fn)
+    if not np.all(np.isfinite(trace)):
+        raise NumericFailure("forward: the datum is not finite at every boundary node")
+    return {"solution.csv": solve_dirichlet(scn.mesh, scn.admittivity, trace).table()}, {}
 
 
 def _arc_positions(scn: Scenario, which: str) -> np.ndarray | None:
@@ -554,7 +558,7 @@ def run_scenario(config_path, out_dir=None, seed=None, threads: int = 1) -> Path
         "wall_time_s": time.perf_counter() - t0,
         "results": extras,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as f:
+    with _open_new(out / "manifest.json", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
     return out

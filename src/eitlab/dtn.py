@@ -80,22 +80,33 @@ def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return M, B
 
 
-def schur(system: FemSystem) -> tuple[np.ndarray, np.ndarray]:
+def schur(system: FemSystem, positions=None) -> tuple[np.ndarray, np.ndarray]:
     """Boundary Schur complement A_BB - A_BI X and the lifting X = A_II^-1 A_IB.
 
     Column q of -X holds the interior values of the discrete harmonic
-    extension of the hat trace at boundary position q.
+    extension of the hat trace at boundary position q.  With `positions`
+    (indices into the boundary trace order) only those columns are solved,
+    and the result is the principal block on them: A_aa - A_aI X_a.
     """
     A = system.matrix
-    bb, ii = system.boundary, system.interior
+    ii = system.interior
+    bb = system.boundary if positions is None else system.boundary[positions]
     X = system.lu.solve(A[np.ix_(ii, bb)].toarray())
     return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, ii)] @ X, X
 
 
-def dtn_matrix(mesh: Mesh, adm: Admittivity) -> DtNMap:
-    """Schur complement of the stiffness onto the boundary trace basis."""
-    lam, _ = schur(assemble(mesh, adm))
+def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
+    """Schur complement of the stiffness onto the boundary trace basis.
+
+    With `arc` (contiguous boundary positions) the result equals
+    `local_dtn(dtn_matrix(mesh, adm), arc)`, but only the arc's columns are
+    solved.
+    """
     M, B = boundary_operators(mesh)
+    positions = None
+    if arc is not None:
+        positions, M, B = _arc_restriction(arc, M, B)
+    lam, _ = schur(assemble(mesh, adm), positions)
     return DtNMap(matrix=lam, mass=M, stiffness=B, mesh=mesh)
 
 
@@ -137,6 +148,21 @@ def operator_norm(delta: np.ndarray, W_half: np.ndarray) -> float:
     return float(sla.svdvals(_whiten(L, delta))[0])
 
 
+def _arc_restriction(arc, M: np.ndarray, B: np.ndarray):
+    """Interior positions of a contiguous arc, with M and B restricted to them."""
+    arc = np.asarray(arc, dtype=int)
+    if arc.ndim != 1 or len(arc) == 0:
+        raise ValueError("arc must be a nonempty 1D index array")
+    steps = np.mod(np.diff(arc), len(M))
+    if np.any(steps != 1):
+        raise ValueError("arc positions must be contiguous in the cyclic trace order")
+    interior = arc[1:-1]
+    if len(interior) == 0:
+        raise ValueError("arc has no interior nodes")
+    sub = np.ix_(interior, interior)
+    return interior, M[sub], B[sub]
+
+
 def local_dtn(d: DtNMap, arc: np.ndarray) -> DtNMap:
     """Restriction to a contiguous boundary arc (positions in trace order).
 
@@ -144,16 +170,6 @@ def local_dtn(d: DtNMap, arc: np.ndarray) -> DtNMap:
     nodes, paired with the correspondingly restricted mass and stiffness; its
     Gram encodes traces supported on the arc (zero beyond the endpoints).
     """
-    arc = np.asarray(arc, dtype=int)
-    if arc.ndim != 1 or len(arc) == 0:
-        raise ValueError("arc must be a nonempty 1D index array")
-    n = d.n
-    steps = np.mod(np.diff(arc), n)
-    if np.any(steps != 1):
-        raise ValueError("arc positions must be contiguous in the cyclic trace order")
-    interior = arc[1:-1]
-    if len(interior) == 0:
-        raise ValueError("arc has no interior nodes")
-    sub = np.ix_(interior, interior)
-    return DtNMap(matrix=d.matrix[sub], mass=d.mass[sub],
-                  stiffness=d.stiffness[sub], mesh=d.mesh)
+    interior, M, B = _arc_restriction(arc, d.mass, d.stiffness)
+    return DtNMap(matrix=d.matrix[np.ix_(interior, interior)], mass=M, stiffness=B,
+                  mesh=d.mesh)

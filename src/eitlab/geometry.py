@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -525,9 +526,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _open_new(path, encoding: str = "ascii"):
+    """Open `path` for writing as a new file, unlinking any old one first.
+
+    Truncating a file that was written moments before makes the kernel flush
+    its delayed allocation (tens of ms on ext4); a new inode does not.  Every
+    output can be regenerated, so the implicit flush is not needed.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", encoding=encoding, newline="\n")
+
+
 def _write_csv(path, header, rows) -> None:
     """One comma-joined header line, then one line per row, LF endings."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    with _open_new(path) as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
@@ -547,7 +559,7 @@ def _mesh_text(mesh: Mesh) -> str:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
+    with _open_new(path) as f:
         f.write(_mesh_text(mesh))
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import (_whiten, boundary_operators, dtn_matrix, h_half_gram, local_dtn,
-                  operator_norm, schur)
+from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm, schur
 from .forward import Admittivity, assemble, region_stiffness
 from .geometry import Mesh
 
@@ -369,19 +368,25 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
-    """DtN matrix and the exact per-strip derivative matrices d Lam / d gamma_j."""
+    """DtN matrix and the exact per-strip derivative matrices d Lam / d gamma_j.
+
+    With the lifting H = [I; -X] (nodal values of the harmonic extensions of
+    the boundary hats), d Lam / d gamma_j = H^T K_j H, and K_j couples only
+    strip j's nodes, so only H's rows on them enter.
+    """
     sys_ = assemble(mesh, adm)
     lam, X = schur(sys_)
-    bb, ii = sys_.boundary, sys_.interior
+    H = np.empty((mesh.n_nodes, X.shape[1]), dtype=complex)
+    H[sys_.boundary] = np.eye(X.shape[1])
+    H[sys_.interior] = -X
+    del X
     parts = region_stiffness(mesh)
     cols = []
     for j in range(1, adm.n + 1):
         K = parts[j]
-        Kbb = K[np.ix_(bb, bb)].toarray()
-        KbiX = K[np.ix_(bb, ii)] @ X
-        KiiX = K[np.ix_(ii, ii)] @ X
-        Mj = Kbb - KbiX - KbiX.T + X.T @ KiiX
-        cols.append(Mj)
+        nodes = np.flatnonzero(np.diff(K.indptr))
+        Hj = H[nodes]
+        cols.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
     return lam, cols
 
 
@@ -539,14 +544,10 @@ def stability_sweep(pairs, mesh: Mesh, threads: int = 1,
     full map of a mirror-symmetric strip stack cannot order strips by depth,
     while bottom-edge data sees deeper strips exponentially more weakly.
     """
-    def dtn_of(adm: Admittivity):
-        # restrict in the worker, so only arc-sized maps are kept
-        d = dtn_matrix(mesh, adm)
-        return local_dtn(d, arc) if arc is not None else d
-
     uniq = {a.values: a for pair in pairs for a in pair}
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        maps = dict(zip(uniq, ex.map(dtn_of, uniq.values())))
+        maps = dict(zip(uniq, ex.map(lambda a: dtn_matrix(mesh, a, arc=arc),
+                                     uniq.values())))
 
     if pairs:
         gram_half = maps[pairs[0][0].values].gram_half()

@@ -380,13 +380,14 @@ def test_sweep_mixed_strip_counts_rejected_at_parse_time_with_two_threads(tmp_pa
     _with(BASE_FORWARD, ("params", "datum"), {"kind": "harmonic", "degree": -1}),
     _with(_DTN_NORM_OK, ("admittivity_2",), _DTN_NORM_OK["admittivity"]),
 ], ids=["forward-pole-at-a-node", "dtn-norm-zero-eps"])
-def test_nan_output_exits_3(tmp_path, capsys, cfg):
+def test_nan_output_exits_3(tmp_path, capsys, recwarn, cfg):
     out = tmp_path / "out"
     assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
     assert "Traceback" not in err
     assert not list(out.glob("*.csv"))
+    assert not [str(w.message) for w in recwarn]
 
 
 @pytest.mark.parametrize("kind", sorted(_SMOKE))
@@ -399,6 +400,20 @@ def test_runner_smoke_is_reproducible(tmp_path, kind):
         assert csvs
         bodies.append({p.name: p.read_bytes() for p in csvs})
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("kind", sorted(_SMOKE))
+def test_rerun_into_same_out_dir_rewrites_identical_outputs(tmp_path, kind):
+    cfg = write_config(tmp_path, _SMOKE[kind])
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        cli.run_scenario(cfg, out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["wall_time_s"]
+        runs.append(({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}, manifest))
+    assert runs[0][0]
+    assert runs[0] == runs[1]
 
 
 def test_corrector_residual_failure_exits_3(tmp_path, capsys, monkeypatch):

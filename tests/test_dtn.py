@@ -146,6 +146,46 @@ def test_local_dtn_errors(strips2_mesh64):
         local_dtn(d, np.array([], dtype=int))
 
 
+def _bottom_arc(m):
+    y = m.nodes[m.boundary_nodes, 1]
+    return np.arange(int(np.sum(y == y.min())))
+
+
+@pytest.mark.parametrize("with_extension", [False, True])
+@pytest.mark.parametrize("kind", ["bottom", "wrapping"])
+def test_dtn_matrix_arc_is_principal_block_of_full_map(kind, with_extension):
+    # only the arc's columns are solved; SuperLU solves each column on its own,
+    # so the block is bitwise the full map's
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    full = dtn_matrix(m, a)
+    nb = full.n
+    arc = _bottom_arc(m) if kind == "bottom" else np.arange(nb - 7, nb + 20) % nb
+    interior = np.asarray(arc)[1:-1]
+    sub = np.ix_(interior, interior)
+    loc = dtn_matrix(m, a, arc=arc)
+    assert loc.matrix.shape == (len(interior), len(interior))
+    assert np.array_equal(loc.matrix, full.matrix[sub])
+    assert np.array_equal(loc.mass, full.mass[sub])
+    assert np.array_equal(loc.stiffness, full.stiffness[sub])
+    restricted = local_dtn(full, arc)
+    assert np.array_equal(loc.matrix, restricted.matrix)
+    assert np.array_equal(loc.gram_half(), restricted.gram_half())
+
+
+@pytest.mark.parametrize("arc", [[0, 1], [0, 2, 4], []],
+                         ids=["no-interior", "not-contiguous", "empty"])
+def test_dtn_matrix_arc_errors_match_local_dtn(strips2_mesh64, arc):
+    p, m = strips2_mesh64
+    a = Admittivity([1.0, 2.0])
+    arc = np.array(arc, dtype=int)
+    with pytest.raises(ValueError) as restricted:
+        local_dtn(dtn_matrix(m, a), arc)
+    with pytest.raises(ValueError) as direct:
+        dtn_matrix(m, a, arc=arc)
+    assert str(direct.value) == str(restricted.value)
+
+
 def test_dtn_csv_export(tmp_path, strips2_mesh64):
     p, m = strips2_mesh64
     d = dtn_matrix(m, Admittivity([1.0, 2.0 + 1.0j]))

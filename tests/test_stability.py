@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import eitlab as el
-from eitlab.dtn import dtn_matrix
-from eitlab.forward import Admittivity
+from eitlab.dtn import dtn_matrix, schur
+from eitlab.forward import Admittivity, assemble, region_stiffness
 from eitlab.stability import (TAU, ConstantTracker, TowerFloat, constant_bound,
                               delta_recursion, gauss_newton_reconstruct, omega,
                               omega_inverse, omega_inverse_log, omega_iterate,
@@ -194,6 +194,25 @@ def test_sensitivity_matches_finite_differences():
               - dtn_matrix(m, Admittivity(dn)).matrix) / (2 * step)
         rel = np.linalg.norm(sens.columns[j] - fd) / np.linalg.norm(fd)
         assert rel <= 1e-6
+
+
+@pytest.mark.parametrize("with_extension", [False, True])
+def test_sensitivity_columns_satisfy_euler_identity(with_extension):
+    # Lam is homogeneous of degree 1 in all region values, so
+    # sum_j gamma_j dLam/dgamma_j plus the term of the extension strip,
+    # whose value is fixed at 1, gives back the Schur complement
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 64)
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    lam = dtn_matrix(m, a).matrix
+    total = sum(g * c for g, c in zip(a.values, sensitivity_jacobian(m, a).columns))
+    if with_extension:
+        system = assemble(m, a)
+        _, X = schur(system)
+        H = np.zeros((m.n_nodes, X.shape[1]), dtype=complex)
+        H[system.boundary] = np.eye(X.shape[1])
+        H[system.interior] = -X
+        total = total + H.T @ (region_stiffness(m)[0] @ H)
+    assert np.abs(total - lam).max() <= 1e-12 * np.abs(lam).max()
 
 
 def test_sensitivity_jacobian_is_complex_with_one_column_per_strip():
