@@ -56,7 +56,6 @@ from .dtn import (
     boundary_operators,
     dtn_matrix,
     h_half_gram,
-    local_dtn,
     operator_norm,
 )
 from .singular import (

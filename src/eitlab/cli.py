@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .forward import (Admittivity, EllipticityError, SolverError, boundary_trace,
                       caccioppoli_ratio, field_from_function, solve_dirichlet)
-from .dtn import dtn_matrix
 from .fundsol import TwoPhaseCoeffs
 from .geometry import (GeometryError, InvalidSpecError, TooCoarseError, _open_new,
                        _write_csv, build_partition, generate_mesh, mesh_hash)
@@ -343,8 +342,8 @@ def _run_reconstruct(scn: Scenario, rng):
     else:
         guess = Admittivity(tuple(1.0 for _ in truth.values), lam=truth.lam)
 
-    target = dtn_matrix(scn.mesh, truth)
-    res = gauss_newton_reconstruct(target.matrix, scn.mesh, guess,
+    sens = sensitivity_jacobian(scn.mesh, truth)
+    res = gauss_newton_reconstruct(sens.dtn, scn.mesh, guess,
                                    max_iter=max_iter, truth=truth)
     log_rows = [(it, mis, err) for it, mis, err in res.history]
     files = {"recon_log.csv": (("iter", "misfit", "err_inf"), log_rows)}
@@ -353,11 +352,10 @@ def _run_reconstruct(scn: Scenario, rng):
 
     levels = _numbers(params.get("noise_levels", []), "config.params.noise_levels")
     if levels:
-        sens = sensitivity_jacobian(scn.mesh, truth)
         S = worst_case_perturbation(sens)
         noise_rows = []
         for eta in levels:
-            r = gauss_newton_reconstruct(target.matrix + eta * S, scn.mesh, guess,
+            r = gauss_newton_reconstruct(sens.dtn + eta * S, scn.mesh, guess,
                                          max_iter=max_iter, truth=truth)
             noise_rows.append((eta, r.history[-1][1], r.admittivity.max_jump(truth)))
         files["noise_sweep.csv"] = (("eta", "misfit", "err_inf"), noise_rows)

@@ -29,7 +29,6 @@ __all__ = [
     "apply_dtn",
     "h_half_gram",
     "operator_norm",
-    "local_dtn",
 ]
 
 
@@ -98,14 +97,25 @@ def schur(system: FemSystem, positions=None) -> tuple[np.ndarray, np.ndarray]:
 def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     """Schur complement of the stiffness onto the boundary trace basis.
 
-    With `arc` (contiguous boundary positions) the result equals
-    `local_dtn(dtn_matrix(mesh, adm), arc)`, but only the arc's columns are
-    solved.
+    With `arc` (contiguous positions in the cyclic trace order) the result
+    is the full map's principal block on the arc's interior nodes, with M
+    and B restricted alike, so its Gram encodes traces supported on the arc.
+    Only the arc's columns are solved.
     """
     M, B = boundary_operators(mesh)
     positions = None
     if arc is not None:
-        positions, M, B = _arc_restriction(arc, M, B)
+        arc = np.asarray(arc, dtype=int)
+        if arc.ndim != 1 or len(arc) == 0:
+            raise ValueError("arc must be a nonempty 1D index array")
+        steps = np.mod(np.diff(arc), len(M))
+        if np.any(steps != 1):
+            raise ValueError("arc positions must be contiguous in the cyclic trace order")
+        positions = arc[1:-1]
+        if len(positions) == 0:
+            raise ValueError("arc has no interior nodes")
+        sub = np.ix_(positions, positions)
+        M, B = M[sub], B[sub]
     lam, _ = schur(assemble(mesh, adm), positions)
     return DtNMap(matrix=lam, mass=M, stiffness=B, mesh=mesh)
 
@@ -146,30 +156,3 @@ def operator_norm(delta: np.ndarray, W_half: np.ndarray) -> float:
     except sla.LinAlgError as exc:
         raise ValueError("fractional Gram matrix is not positive definite") from exc
     return float(sla.svdvals(_whiten(L, delta))[0])
-
-
-def _arc_restriction(arc, M: np.ndarray, B: np.ndarray):
-    """Interior positions of a contiguous arc, with M and B restricted to them."""
-    arc = np.asarray(arc, dtype=int)
-    if arc.ndim != 1 or len(arc) == 0:
-        raise ValueError("arc must be a nonempty 1D index array")
-    steps = np.mod(np.diff(arc), len(M))
-    if np.any(steps != 1):
-        raise ValueError("arc positions must be contiguous in the cyclic trace order")
-    interior = arc[1:-1]
-    if len(interior) == 0:
-        raise ValueError("arc has no interior nodes")
-    sub = np.ix_(interior, interior)
-    return interior, M[sub], B[sub]
-
-
-def local_dtn(d: DtNMap, arc: np.ndarray) -> DtNMap:
-    """Restriction to a contiguous boundary arc (positions in trace order).
-
-    The restricted map is the principal submatrix on the arc's interior
-    nodes, paired with the correspondingly restricted mass and stiffness; its
-    Gram encodes traces supported on the arc (zero beyond the endpoints).
-    """
-    interior, M, B = _arc_restriction(arc, d.mass, d.stiffness)
-    return DtNMap(matrix=d.matrix[np.ix_(interior, interior)], mass=M, stiffness=B,
-                  mesh=d.mesh)

@@ -177,7 +177,7 @@ class FemSystem:
         if load is not None:
             rhs += load[self.interior]
         u[self.interior] = self.lu.solve(rhs)
-        sol = FieldSolution(mesh=self.mesh, values=u, trace=f, adm=self.adm)
+        sol = FieldSolution(mesh=self.mesh, values=u, trace=f)
         res = sol.interior_residual(self.matrix, self.interior, load)
         if not res <= 1e-8:                  # NaN fails every comparison
             raise SolverError(
@@ -235,7 +235,7 @@ def solve_real_system(mesh: Mesh, adm: Admittivity, f) -> "FieldSolution":
     u[bdof] = bval
     rhs = -(A[np.ix_(idof, bdof)] @ bval)
     u[idof] = splu(A[np.ix_(idof, idof)].tocsc()).solve(rhs)
-    return FieldSolution(mesh=mesh, values=u[:n] + 1j * u[n:], trace=trace, adm=adm)
+    return FieldSolution(mesh=mesh, values=u[:n] + 1j * u[n:], trace=trace)
 
 
 def coefficient_tensor(gamma: complex) -> np.ndarray:
@@ -265,7 +265,6 @@ class FieldSolution:
     mesh: Mesh
     values: np.ndarray
     trace: np.ndarray | None = None
-    adm: Admittivity | None = None
     _grads: np.ndarray | None = field(default=None, repr=False)
 
     def interior_residual(self, matrix, interior, load=None) -> float:
@@ -342,11 +341,10 @@ class FieldSolution:
         _write_csv(path, *self.table())
 
 
-def field_from_function(mesh: Mesh, fn, adm: Admittivity | None = None) -> FieldSolution:
+def field_from_function(mesh: Mesh, fn) -> FieldSolution:
     """Nodal interpolant of a callable fn(x, y) (vectorized)."""
     vals = np.asarray(fn(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=complex)
-    return FieldSolution(mesh=mesh, values=vals,
-                         trace=vals[mesh.boundary_nodes], adm=adm)
+    return FieldSolution(mesh=mesh, values=vals, trace=vals[mesh.boundary_nodes])
 
 
 def caccioppoli_ratio(u: FieldSolution, x0, rho: float, R: float,

@@ -545,15 +545,22 @@ def _write_csv(path, header, rows) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _rows(a: np.ndarray, block: int = 256):
+    """Rows of `a` as Python lists, converted a block at a time: Python
+    scalars format faster than numpy ones, and a block holds few of them."""
+    for start in range(0, len(a), block):
+        yield from a[start:start + block].tolist()
+
+
 def _mesh_text(mesh: Mesh) -> str:
     out = io.StringIO()
     be = mesh.boundary_edges
     out.write(f"mesh v1 {mesh.n_nodes} {mesh.n_triangles} {len(be)}\n")
-    for x, y in mesh.nodes:
+    for x, y in _rows(mesh.nodes):
         out.write(f"{_fmt(x)} {_fmt(y)}\n")
-    for (i, j, k), reg in zip(mesh.triangles, mesh.tri_region):
+    for (i, j, k), reg in zip(_rows(mesh.triangles), _rows(mesh.tri_region)):
         out.write(f"{i} {j} {k} {reg}\n")
-    for i, j in be:
+    for i, j in _rows(be):
         out.write(f"{i} {j}\n")
     return out.getvalue()
 

@@ -79,7 +79,6 @@ class SingularSolution:
     """Evaluator for G = Gamma_l + w and its gradient."""
 
     y: np.ndarray
-    link: int | None
     coeffs: TwoPhaseCoeffs            # equal values: uniform medium around the source
     iface_y: float
     w: FieldSolution
@@ -177,7 +176,7 @@ class CorrectorSolver:
             coeffs = TwoPhaseCoeffs(adm.value_for(s.above), adm.value_for(s.below))
             iface_y = s.y
 
-        sol = SingularSolution(y=y, link=link, coeffs=coeffs, iface_y=iface_y,
+        sol = SingularSolution(y=y, coeffs=coeffs, iface_y=iface_y,
                                w=None, mesh=mesh, adm=adm)
 
         # gtilde: coefficient minus its two-phase approximation

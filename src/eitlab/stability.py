@@ -372,22 +372,24 @@ def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
 
     With the lifting H = [I; -X] (nodal values of the harmonic extensions of
     the boundary hats), d Lam / d gamma_j = H^T K_j H, and K_j couples only
-    strip j's nodes, so only H's rows on them enter.
+    strip j's nodes, so only H's rows on them enter.  The derivatives come
+    as a generator: a caller that stops at Lam forms none of them.
     """
+    def columns(X):
+        H = np.empty((mesh.n_nodes, X.shape[1]), dtype=complex)
+        H[sys_.boundary] = np.eye(X.shape[1])
+        H[sys_.interior] = -X
+        del X
+        parts = region_stiffness(mesh)
+        for j in range(1, adm.n + 1):
+            K = parts[j]
+            nodes = np.flatnonzero(np.diff(K.indptr))
+            Hj = H[nodes]
+            yield Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj)
+
     sys_ = assemble(mesh, adm)
     lam, X = schur(sys_)
-    H = np.empty((mesh.n_nodes, X.shape[1]), dtype=complex)
-    H[sys_.boundary] = np.eye(X.shape[1])
-    H[sys_.interior] = -X
-    del X
-    parts = region_stiffness(mesh)
-    cols = []
-    for j in range(1, adm.n + 1):
-        K = parts[j]
-        nodes = np.flatnonzero(np.diff(K.indptr))
-        Hj = H[nodes]
-        cols.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
-    return lam, cols
+    return lam, columns(X)
 
 
 def _jacobian(L: np.ndarray, cols) -> np.ndarray:
@@ -404,6 +406,7 @@ def _gram_and_chol(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SensitivityResult:
+    dtn: np.ndarray          # Lam at the linearization point
     columns: list            # d Lam / d gamma_j, complex symmetric, unweighted
     jacobian: np.ndarray     # complex (nb^2, N) in the weighted metric
     sigma_min: float
@@ -423,27 +426,36 @@ def sensitivity_jacobian(mesh: Mesh, adm: Admittivity) -> SensitivityResult:
     finite-dimensional inverse problem.
     """
     gram_half, L = _gram_and_chol(mesh)
-    _, cols = _dtn_and_columns(mesh, adm)
+    lam, cols = _dtn_and_columns(mesh, adm)
+    cols = list(cols)
     J = _jacobian(L, cols)
     sv = sla.svdvals(J)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
         raise RuntimeError(
             "rank-deficient sensitivity: discretization too coarse to "
             "separate the strip values")
-    return SensitivityResult(columns=cols, jacobian=J, sigma_min=float(sv[-1]),
+    return SensitivityResult(dtn=lam, columns=cols, jacobian=J, sigma_min=float(sv[-1]),
                              sigma_max=float(sv[0]), gram_half=gram_half, chol=L)
 
 
 def _project_admissible(vals: np.ndarray, lam: float) -> np.ndarray:
-    out = np.array(vals, dtype=complex)
-    for _ in range(4):
-        out.real = np.maximum(out.real, 1.0 / lam)
-        mod = np.abs(out)
-        over = mod > lam
-        if not np.any(over):
-            break
-        out[over] *= lam / mod[over]
-    out.real = np.maximum(out.real, 1.0 / lam)
+    """Nearest points of the admissible set Re g >= 1/lam, |g| <= lam.
+
+    The real part is clamped; a point that this leaves outside the disk goes
+    to the arc, radially when that lands in the half-plane and to the nearer
+    corner otherwise.  The arc is drawn 4 ulps inside radius lam, because
+    rounding can carry a point of the circle past lam and `Admittivity`
+    rejects it there.
+    """
+    z = np.array(vals, dtype=complex)
+    out = z.copy()
+    out.real = np.maximum(z.real, 1.0 / lam)
+    over = np.abs(out) > lam
+    rim = lam * (1.0 - 4.0 * np.finfo(float).eps)
+    radial = rim * z[over] / np.abs(z[over])
+    height = math.sqrt(max(rim ** 2 - lam ** -2, 0.0))
+    corner = 1.0 / lam + 1j * np.sign(z[over].imag) * height
+    out[over] = np.where(radial.real >= 1.0 / lam, radial, corner)
     return out
 
 
@@ -527,8 +539,6 @@ def worst_case_perturbation(sens: SensitivityResult) -> np.ndarray:
 class SweepRecord:
     """One admittivity pair: coefficient gap E, data gap eps, their ratio."""
 
-    values_1: tuple
-    values_2: tuple
     E: float
     eps: float
     ratio: float
@@ -556,5 +566,5 @@ def stability_sweep(pairs, mesh: Mesh, threads: int = 1,
         E = a1.max_jump(a2)
         eps = operator_norm(maps[a1.values].matrix - maps[a2.values].matrix, gram_half)
         ratio = E / eps if eps > 0 else math.nan
-        out.append(SweepRecord(a1.values, a2.values, E, eps, ratio, mesh.h))
+        out.append(SweepRecord(E, eps, ratio, mesh.h))
     return out

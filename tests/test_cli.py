@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eitlab.cli as cli
+from eitlab import forward
 from eitlab.forward import FemSystem
 
 
@@ -430,3 +431,46 @@ def test_corrector_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, _ASYMPTOTICS)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "residual" in capsys.readouterr().err
+
+
+def test_reconstruct_noise_past_lambda_stays_admissible(tmp_path, capsys):
+    # noise this large drives Gauss-Newton iterates out of the admissible
+    # set; each must be projected back into it, not merely toward it
+    cfg = write_config(tmp_path, {
+        "version": 1,
+        "experiment": "reconstruct",
+        "partition": {"n_strips": 2},
+        "mesh": {"h": 1 / 16},
+        "admittivity": {"values": [[0.8702539555789301, 1.0966576734784768], [1.0, 0.0]],
+                        "lambda": 2.0},
+        "params": {"noise_levels": [30.0]},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert (out / "noise_sweep.csv").exists()
+
+
+def test_reconstruct_factorizes_the_truth_once(tmp_path, monkeypatch):
+    # the target and the worst-case noise direction share one linearization
+    # of the truth; every other factorization is one Gauss-Newton iterate
+    factorizations = []
+    splu = forward.splu
+
+    def counted(A):
+        factorizations.append(A.shape)
+        return splu(A)
+
+    builds = []
+    reconstruct = cli.gauss_newton_reconstruct
+
+    def traced(*args, **kwargs):
+        res = reconstruct(*args, **kwargs)
+        builds.append(len(res.history))
+        return res
+
+    monkeypatch.setattr(forward, "splu", counted)
+    monkeypatch.setattr(cli, "gauss_newton_reconstruct", traced)
+    cfg = write_config(tmp_path, _SMOKE["reconstruct"])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 2
+    assert len(factorizations) == 1 + sum(builds)

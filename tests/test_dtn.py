@@ -3,8 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import eitlab as el
-from eitlab.dtn import (apply_dtn, boundary_operators, dtn_matrix, h_half_gram,
-                        local_dtn, operator_norm)
+from eitlab.dtn import apply_dtn, boundary_operators, dtn_matrix, h_half_gram, operator_norm
 from eitlab.forward import Admittivity, assemble
 
 
@@ -115,10 +114,11 @@ def test_fourier_mode_rayleigh_sequence(disk_mesh32):
 
 def test_local_dtn_full_arc_equals_global(strips2_mesh64):
     p, m = strips2_mesh64
-    d = dtn_matrix(m, Admittivity([1.0, 2.0]))
+    a = Admittivity([1.0, 2.0])
+    d = dtn_matrix(m, a)
     nb = d.n
     arc = np.arange(nb + 1) % nb      # wraps once around: interior = everything
-    loc = local_dtn(d, arc)
+    loc = dtn_matrix(m, a, arc=arc)
     assert loc.matrix.shape == (nb - 1, nb - 1)
     assert np.allclose(loc.matrix, d.matrix[1:nb, 1:nb])
 
@@ -130,20 +130,20 @@ def test_local_dtn_monotone(strips2_mesh64):
     g = operator_norm(d1.matrix - d2.matrix, d1.gram_half())
     nx = int(np.sum(m.nodes[m.boundary_nodes, 1] == 0.0))
     arc = np.arange(nx)                # bottom edge
-    l1, l2 = local_dtn(d1, arc), local_dtn(d2, arc)
+    l1, l2 = dtn_matrix(m, a1, arc=arc), dtn_matrix(m, a2, arc=arc)
     ln = operator_norm(l1.matrix - l2.matrix, l1.gram_half())
     assert ln <= g
 
 
 def test_local_dtn_errors(strips2_mesh64):
     p, m = strips2_mesh64
-    d = dtn_matrix(m, Admittivity([1.0, 2.0]))
+    a = Admittivity([1.0, 2.0])
     with pytest.raises(ValueError):
-        local_dtn(d, np.array([0, 1]))            # no interior nodes
+        dtn_matrix(m, a, arc=np.array([0, 1]))            # no interior nodes
     with pytest.raises(ValueError):
-        local_dtn(d, np.array([0, 2, 4]))         # not contiguous
+        dtn_matrix(m, a, arc=np.array([0, 2, 4]))         # not contiguous
     with pytest.raises(ValueError):
-        local_dtn(d, np.array([], dtype=int))
+        dtn_matrix(m, a, arc=np.array([], dtype=int))
 
 
 def _bottom_arc(m):
@@ -168,22 +168,23 @@ def test_dtn_matrix_arc_is_principal_block_of_full_map(kind, with_extension):
     assert np.array_equal(loc.matrix, full.matrix[sub])
     assert np.array_equal(loc.mass, full.mass[sub])
     assert np.array_equal(loc.stiffness, full.stiffness[sub])
-    restricted = local_dtn(full, arc)
-    assert np.array_equal(loc.matrix, restricted.matrix)
-    assert np.array_equal(loc.gram_half(), restricted.gram_half())
+    assert np.array_equal(loc.gram_half(),
+                          h_half_gram(full.mass[sub], full.stiffness[sub], 0.5))
 
 
-@pytest.mark.parametrize("arc", [[0, 1], [0, 2, 4], []],
-                         ids=["no-interior", "not-contiguous", "empty"])
-def test_dtn_matrix_arc_errors_match_local_dtn(strips2_mesh64, arc):
+_ARC_ERRORS = {
+    "no-interior": ([0, 1], "arc has no interior nodes"),
+    "not-contiguous": ([0, 2, 4], "arc positions must be contiguous in the cyclic trace order"),
+    "empty": ([], "arc must be a nonempty 1D index array"),
+}
+
+
+@pytest.mark.parametrize("arc, message", list(_ARC_ERRORS.values()), ids=list(_ARC_ERRORS))
+def test_dtn_matrix_arc_errors_match_local_dtn(strips2_mesh64, arc, message):
     p, m = strips2_mesh64
-    a = Admittivity([1.0, 2.0])
-    arc = np.array(arc, dtype=int)
-    with pytest.raises(ValueError) as restricted:
-        local_dtn(dtn_matrix(m, a), arc)
     with pytest.raises(ValueError) as direct:
-        dtn_matrix(m, a, arc=arc)
-    assert str(direct.value) == str(restricted.value)
+        dtn_matrix(m, Admittivity([1.0, 2.0]), arc=np.array(arc, dtype=int))
+    assert str(direct.value) == message
 
 
 def test_dtn_csv_export(tmp_path, strips2_mesh64):

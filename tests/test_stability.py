@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import eitlab as el
+from eitlab import stability
 from eitlab.dtn import dtn_matrix, schur
 from eitlab.forward import Admittivity, assemble, region_stiffness
-from eitlab.stability import (TAU, ConstantTracker, TowerFloat, constant_bound,
-                              delta_recursion, gauss_newton_reconstruct, omega,
-                              omega_inverse, omega_inverse_log, omega_iterate,
+from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _project_admissible,
+                              constant_bound, delta_recursion, gauss_newton_reconstruct,
+                              omega, omega_inverse, omega_inverse_log, omega_iterate,
                               perturb_dtn, random_harmonic_polynomial,
                               sensitivity_jacobian, stability_sweep,
                               three_sphere_check, worst_case_perturbation)
@@ -244,15 +245,21 @@ def test_sensitivity_sigma_min_stable_under_refinement():
     assert vals[1] == pytest.approx(vals[0], rel=0.10)
 
 
-def test_reconstruction_fixed_point():
+def test_reconstruction_fixed_point(monkeypatch):
     p = el.build_partition(3)
     m = el.generate_mesh(p, 1 / 16)
     truth = Admittivity([1.2, 1.0 + 0.7j, 2.0 - 0.3j])
     target = dtn_matrix(m, truth).matrix
+    # the derivative columns are the only reader of the strip stiffnesses
+    # here; an iterate that converges takes no step and forms none
+    column_builds = []
+    monkeypatch.setattr(stability, "region_stiffness",
+                        lambda mesh: column_builds.append(mesh) or region_stiffness(mesh))
     res = gauss_newton_reconstruct(target, m, truth, truth=truth)
     assert res.iterations == 0
     assert res.history[0][1] <= 1e-12
     assert res.converged
+    assert column_builds == []
 
 
 def test_reconstruction_noiseless():
@@ -264,6 +271,25 @@ def test_reconstruction_noiseless():
                                    truth=truth)
     assert res.admittivity.max_jump(truth) <= 1e-6
     assert res.iterations <= 15
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.05, 2.0, 10.0])
+def test_project_admissible_is_the_nearest_point(rng, lam):
+    # the set is convex, so p is the nearest point to z exactly when
+    # Re((z - p) conj(q - p)) <= 0 for every q in it, and the largest value
+    # over q is taken on the boundary: the arc of |q| = lam with
+    # Re q >= 1/lam and the chord Re q = 1/lam
+    z = 1.5 * lam * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+    p = _project_admissible(z, lam)
+    assert np.all(np.abs(p) <= lam * (1 + 1e-15))
+    assert np.all(p.real >= 1 / lam)
+    inside = (z.real >= 1 / lam) & (np.abs(z) <= lam)
+    assert p[inside].tobytes() == z[inside].tobytes()
+    t = np.linspace(-1.0, 1.0, 401)
+    q = np.concatenate([lam * np.exp(1j * np.arccos(lam ** -2) * t),
+                        1 / lam + 1j * math.sqrt(lam ** 2 - lam ** -2) * t])
+    gap = np.real((z - p)[:, None] * np.conj(q[None, :] - p[:, None]))
+    assert gap.max() <= 1e-12
 
 
 def test_reconstruction_projects_into_admissible_set():
