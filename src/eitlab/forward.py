@@ -135,6 +135,59 @@ def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
     return out
 
 
+def _row_coefficients(K, grid: np.ndarray):
+    """Diagonal and horizontal coupling of each interior node row, and the
+    vertical coupling of each pair of consecutive rows, read at column 1 of
+    the row-major node `grid`."""
+    col = grid[:, 1]
+
+    def at(p, q):
+        return np.asarray(K[p, q]).ravel()
+
+    return at(col[1:-1], col[1:-1]), at(col[1:-1], grid[1:-1, 0]), at(col[:-1], col[1:])
+
+
+def _separable_grid(mesh: Mesh) -> np.ndarray | None:
+    """Row-major node grid of a `generate_mesh` mesh whose interior stiffness
+    is exactly row-separable, else None; checked once per mesh.
+
+    Every region stiffness must be symmetric and equal, entry for entry on
+    the interior rows, to the 5-point stencil rebuilt from its own row
+    coefficients.  Then so is every complex combination of them: the
+    interior block is a Kronecker sum, and each boundary node couples to the
+    interior only through its neighbour on the ring of interior nodes next
+    to the boundary.  Where the node columns are not evenly spaced in
+    floating point (h = 1/30, an offset rectangle), rounding in the node
+    coordinates breaks the equality.
+    """
+    if "separable_grid" not in mesh._cache:
+        mesh._cache["separable_grid"] = _find_separable_grid(mesh)
+    return mesh._cache["separable_grid"]
+
+
+def _find_separable_grid(mesh: Mesh) -> np.ndarray | None:
+    if mesh.partition is None:
+        return None
+    y = mesh.nodes[:, 1]
+    width = int(np.argmax(y != y[0]))
+    if width < 3 or mesh.n_nodes % width:
+        return None
+    grid = np.arange(mesh.n_nodes).reshape(-1, width)
+    inner = grid[1:-1, 1:-1].ravel()
+    if not np.array_equal(mesh.interior_nodes(), inner):
+        return None
+    r = np.repeat(np.arange(grid.shape[0] - 2), width - 2)
+    rows = np.tile(np.arange(len(inner)), 5)
+    cols = np.concatenate([inner, inner - 1, inner + 1, inner - width, inner + width])
+    for K in region_stiffness(mesh).values():
+        diag, horiz, vert = _row_coefficients(K, grid)
+        vals = np.concatenate([diag[r], horiz[r], horiz[r], vert[r], vert[r + 1]])
+        stencil = sp.csr_matrix((vals, (rows, cols)), shape=(len(inner), mesh.n_nodes))
+        if (K[inner] - stencil).count_nonzero() or (K - K.T).count_nonzero():
+            return None
+    return grid
+
+
 def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
     """Complex stiffness: sum over the mesh's region labels j of gamma_j K_j."""
     parts = region_stiffness(mesh)

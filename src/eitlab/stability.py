@@ -367,15 +367,24 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return _whiten(L, Z).ravel() / math.sqrt(Z.shape[0])
 
 
+def _lifting(system) -> np.ndarray:
+    """X = A_II^-1 A_IB: column q of -X holds the interior values of the
+    discrete harmonic extension of the hat trace at boundary position q."""
+    A = system.matrix
+    return system.lu.solve(A[np.ix_(system.interior, system.boundary)].toarray())
+
+
 def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
     """DtN matrix and the exact per-strip derivative matrices d Lam / d gamma_j.
 
     With the lifting H = [I; -X] (nodal values of the harmonic extensions of
     the boundary hats), d Lam / d gamma_j = H^T K_j H, and K_j couples only
     strip j's nodes, so only H's rows on them enter.  The derivatives come
-    as a generator: a caller that stops at Lam forms none of them.
+    as a generator that forms X on first use: a caller that stops at Lam
+    forms no lifting and, on a row-separable strip mesh, no factorization.
     """
-    def columns(X):
+    def columns():
+        X = _lifting(sys_)
         H = np.empty((mesh.n_nodes, X.shape[1]), dtype=complex)
         H[sys_.boundary] = np.eye(X.shape[1])
         H[sys_.interior] = -X
@@ -388,8 +397,7 @@ def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
             yield Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj)
 
     sys_ = assemble(mesh, adm)
-    lam, X = schur(sys_)
-    return lam, columns(X)
+    return schur(sys_), columns()
 
 
 def _jacobian(L: np.ndarray, cols) -> np.ndarray:

@@ -450,9 +450,9 @@ def test_reconstruct_noise_past_lambda_stays_admissible(tmp_path, capsys):
     assert (out / "noise_sweep.csv").exists()
 
 
-def test_reconstruct_factorizes_the_truth_once(tmp_path, monkeypatch):
-    # the target and the worst-case noise direction share one linearization
-    # of the truth; every other factorization is one Gauss-Newton iterate
+def _reconstruct_factorizations(tmp_path, monkeypatch, config):
+    """Run a reconstruct config; return its factorization count and the
+    result of each Gauss-Newton run."""
     factorizations = []
     splu = forward.splu
 
@@ -460,17 +460,41 @@ def test_reconstruct_factorizes_the_truth_once(tmp_path, monkeypatch):
         factorizations.append(A.shape)
         return splu(A)
 
-    builds = []
+    runs = []
     reconstruct = cli.gauss_newton_reconstruct
 
     def traced(*args, **kwargs):
-        res = reconstruct(*args, **kwargs)
-        builds.append(len(res.history))
-        return res
+        runs.append(reconstruct(*args, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(forward, "splu", counted)
     monkeypatch.setattr(cli, "gauss_newton_reconstruct", traced)
-    cfg = write_config(tmp_path, _SMOKE["reconstruct"])
+    cfg = write_config(tmp_path, config)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert len(builds) == 2
-    assert len(factorizations) == 1 + sum(builds)
+    return len(factorizations), runs
+
+
+def _steps(res, max_iter):
+    """Gauss-Newton iterates that computed a step: every build but the last,
+    unless the last stopped on a vanishing step, which it had to compute."""
+    return len(res.history) - (res.converged or res.iterations == max_iter)
+
+
+def test_reconstruct_factorizes_the_truth_once(tmp_path, monkeypatch):
+    # on a strip mesh a DtN map needs no factorization: only the truth's
+    # lifting (for the worst-case noise direction) and each iterate that
+    # computes a step factorize, once each
+    config = _SMOKE["reconstruct"]
+    max_iter = config["params"]["max_iter"]
+    count, runs = _reconstruct_factorizations(tmp_path, monkeypatch, config)
+    assert len(runs) == 2
+    assert runs[0].converged                       # its last build forms nothing
+    assert not runs[1].converged and runs[1].iterations < max_iter   # a vanishing step
+    assert count == 1 + sum(_steps(r, max_iter) for r in runs)
+
+
+def test_reconstruct_without_noise_forms_no_truth_lifting(tmp_path, monkeypatch):
+    config = dict(_SMOKE["reconstruct"], params={"max_iter": 8})
+    count, runs = _reconstruct_factorizations(tmp_path, monkeypatch, config)
+    assert len(runs) == 1 and runs[0].converged
+    assert count == len(runs[0].history) - 1

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import splu
 
 import eitlab as el
+from eitlab import forward
 from eitlab.dtn import apply_dtn, boundary_operators, dtn_matrix, h_half_gram, operator_norm
-from eitlab.forward import Admittivity, assemble
+from eitlab.forward import Admittivity, _separable_grid, assemble
 
 
 def boundary_angles(mesh):
@@ -154,8 +156,8 @@ def _bottom_arc(m):
 @pytest.mark.parametrize("with_extension", [False, True])
 @pytest.mark.parametrize("kind", ["bottom", "wrapping"])
 def test_dtn_matrix_arc_is_principal_block_of_full_map(kind, with_extension):
-    # only the arc's columns are solved; SuperLU solves each column on its own,
-    # so the block is bitwise the full map's
+    # only the arc's columns are computed, each ring block the same way
+    # whichever positions ask for it, so the block is bitwise the full map's
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     full = dtn_matrix(m, a)
@@ -170,6 +172,75 @@ def test_dtn_matrix_arc_is_principal_block_of_full_map(kind, with_extension):
     assert np.array_equal(loc.stiffness, full.stiffness[sub])
     assert np.array_equal(loc.gram_half(),
                           h_half_gram(full.mass[sub], full.stiffness[sub], 0.5))
+
+
+def _superlu_oracle(mesh, adm, positions=None):
+    """A_BB - A_BI A_II^-1 A_IB on `positions`, through one sparse LU."""
+    system = assemble(mesh, adm)
+    A, ii = system.matrix, system.interior
+    bb = system.boundary if positions is None else system.boundary[positions]
+    X = splu(A[np.ix_(ii, ii)].tocsc()).solve(A[np.ix_(ii, bb)].toarray())
+    return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, ii)] @ X
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    factorize = forward.splu
+
+    def counted(A):
+        calls.append(A.shape)
+        return factorize(A)
+
+    monkeypatch.setattr(forward, "splu", counted)
+    return calls
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+@pytest.mark.parametrize("with_extension", [False, True])
+def test_strip_dtn_matches_superlu_oracle_without_factorizing(monkeypatch, h, with_extension):
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    assert _separable_grid(m) is not None
+    nb = len(m.boundary_nodes)
+    calls = _count_factorizations(monkeypatch)
+    for arc in [_bottom_arc(m), np.arange(nb - 7, nb + 20) % nb, None]:
+        d = dtn_matrix(m, a, arc=arc)
+        ref = _superlu_oracle(m, a, None if arc is None else arc[1:-1])
+        assert _rel(d.matrix, ref) <= 1e-12
+    assert calls == []
+
+
+def _read_back(tmp_path):
+    path = tmp_path / "mesh.txt"
+    el.write_mesh(el.generate_mesh(el.build_partition(3), 1 / 32), path)
+    return el.read_mesh(path)
+
+
+_NOT_SEPARABLE = {
+    "disk": lambda tmp_path: el.generate_disk_mesh(1 / 32),
+    "h-1/30": lambda tmp_path: el.generate_mesh(el.build_partition(3), 1 / 30),
+    "offset-rect": lambda tmp_path: el.generate_mesh(
+        el.build_partition(3, rect=(0.1, -0.2, 2.0, 1.1)), 1 / 16),
+    "read-back": _read_back,
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOT_SEPARABLE))
+def test_superlu_serves_meshes_that_are_not_row_separable(tmp_path, monkeypatch, kind):
+    # node columns that are not evenly spaced in floating point leave the
+    # stiffness rows unequal in their last bits; disks and read-back meshes
+    # carry no partition
+    m = _NOT_SEPARABLE[kind](tmp_path)
+    a = Admittivity([1.3 - 0.4j] if kind == "disk" else [1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    assert _separable_grid(m) is None
+    calls = _count_factorizations(monkeypatch)
+    d = dtn_matrix(m, a)
+    assert len(calls) == 1
+    assert _rel(d.matrix, _superlu_oracle(m, a)) <= 1e-12
 
 
 _ARC_ERRORS = {
