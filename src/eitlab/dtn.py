@@ -7,13 +7,7 @@ p.  Fractional Sobolev norms on the boundary come from the generalized
 eigenpairs of the 1D boundary mass/stiffness pencil: W_s = M V (I + D)^s V^T M
 with B V = M V D, so W_0 = M and W_1 = M + B.
 
-The Schur complement has two back ends.  On a `generate_mesh` strip mesh
-whose stiffness is exactly row-separable (the check is cached per mesh), a
-sine transform along the node rows leaves one tridiagonal system across the
-rows per mode, and only the interior inverse between the ring neighbours of
-the boundary nodes is formed; nothing is factorized.  Every other mesh (a
-disk, a `read_mesh` mesh, a grid whose node columns are not evenly spaced in
-floating point) solves one interior column per boundary node through SuperLU.
+The Schur complement is `FemSystem.schur`, which owns both solver back ends.
 
 The operator norm of a DtN difference is the largest singular value of
 L^{-1} Delta L^{-T} for the Cholesky factor W_{1/2} = L L^T, which realizes
@@ -27,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .forward import Admittivity, FemSystem, _row_coefficients, _separable_grid, assemble
+from .forward import Admittivity, FemSystem, assemble
 from .geometry import Mesh, _fmt, _write_csv, mesh_hash
 
 __all__ = [
@@ -87,96 +81,6 @@ def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return M, B
 
 
-def schur(system: FemSystem, positions=None) -> np.ndarray:
-    """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
-
-    With `positions` (indices into the boundary trace order) the result is
-    the principal block on them, A_aa - A_aI A_II^-1 A_Ia, and only those
-    columns are computed.  On an exactly row-separable strip mesh the
-    interior inverse is taken from sine modes on the ring of interior nodes
-    next to the boundary (`_ring_green`); every other mesh solves one
-    interior column per position through the sparse LU factorization.
-    """
-    A = system.matrix
-    bb = system.boundary if positions is None else system.boundary[positions]
-    grid = _separable_grid(system.mesh)
-    if grid is None:
-        ii = system.interior
-        X = system.lu.solve(A[np.ix_(ii, bb)].toarray())
-        return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, ii)] @ X
-    rows, cols = np.divmod(bb, grid.shape[1])
-    ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
-    c = np.asarray(A[bb, ring]).ravel()      # exactly 0 at the four corners
-    R = _ring_green(A, grid, rows, cols)
-    return A[np.ix_(bb, bb)].toarray() - c[:, None] * R * c[None, :]
-
-
-def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
-    """Columns of the inverse of every tridiagonal T_k, one Thomas sweep per
-    column, vectorized over the modes k.
-
-    T_k has diagonal diag[k] and off-diagonal `off`; entry [k, r, j] of the
-    result is T_k^-1[r, columns[j]].  No pivoting: Re gamma >= 1/lambda
-    makes the Hermitian part of every T_k positive definite.
-    """
-    m = diag.shape[1]
-    x = np.zeros(diag.shape + (len(columns),), dtype=complex)
-    x[:, columns, np.arange(len(columns))] = 1.0
-    piv = diag.copy()
-    for r in range(1, m):
-        ell = off[r - 1] / piv[:, r - 1]
-        piv[:, r] -= ell * off[r - 1]
-        x[:, r] -= ell[:, None] * x[:, r - 1]
-    x[:, m - 1] /= piv[:, m - 1, None]
-    for r in range(m - 2, -1, -1):
-        x[:, r] = (x[:, r] - off[r] * x[:, r + 1]) / piv[:, r, None]
-    return x
-
-
-def _ring_green(A, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A_II^-1 between the ring neighbours of the boundary nodes at grid
-    positions (rows, cols) of a row-separable strip mesh.
-
-    The orthonormal type-I sine transform S along each node row turns A_II
-    into one tridiagonal T_k across the rows per mode k (Buzbee, Golub and
-    Nielson 1970), so A_II^-1[(r, i), (s, j)] = sum_k S[i, k] S[j, k]
-    T_k^-1[r, s].  The result is gathered from fixed blocks, one per pair of
-    segments and each computed the same way whichever positions ask for it,
-    so a principal block is bitwise the full ring's.
-    """
-    m, n = grid.shape[0] - 2, grid.shape[1] - 2
-    # ring segment (bottom row, top row, left column, right column) and the
-    # position along it; a corner takes the end of its row, where it couples to nothing
-    seg = np.select([rows == 0, rows == m + 1, cols == 0], [0, 1, 2], 3)
-    along = np.where(seg < 2, np.clip(cols, 1, n), rows) - 1
-    diag, horiz, vert = _row_coefficients(A, grid)
-    k = np.arange(1, n + 1)
-    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
-    T = diag + np.outer(2.0 * np.cos(np.pi * k / (n + 1)), horiz)
-    off = vert[1:-1]
-    present = np.unique(seg)
-    ends = _mode_green(T, off, [0, m - 1])        # T_k^-1 on the ring rows
-    edge = S[[0, -1]]                              # sine weights of the ring columns
-    if present[-1] >= 2:
-        weights = (edge[:, None, :] * edge[None, :, :]).reshape(4, n)
-        sides = (weights @ _mode_green(T, off, range(m)).reshape(n, m * m)).reshape(2, 2, m, m)
-
-    def block(u, v):
-        if u < 2 and v < 2:
-            return (S * ends[:, [0, m - 1][u], v]) @ S
-        if u < 2:
-            return (S * edge[v - 2]) @ ends[:, :, u]
-        if v < 2:
-            return (ends[:, :, v] * edge[u - 2][:, None]).T @ S
-        return sides[u - 2, v - 2]
-
-    size = np.where(present < 2, n, m)
-    start = np.concatenate([[0], np.cumsum(size)[:-1]])
-    loc = start[np.searchsorted(present, seg)] + along
-    R = np.block([[block(u, v) for v in present] for u in present])
-    return R[np.ix_(loc, loc)]
-
-
 def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     """Schur complement of the stiffness onto the boundary trace basis.
 
@@ -197,9 +101,11 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
         positions = arc[1:-1]
         if len(positions) == 0:
             raise ValueError("arc has no interior nodes")
+        if len(positions) > len(M):
+            raise ValueError("arc laps the boundary loop and repeats a position")
         sub = np.ix_(positions, positions)
         M, B = M[sub], B[sub]
-    return DtNMap(matrix=schur(assemble(mesh, adm), positions), mass=M, stiffness=B, mesh=mesh)
+    return DtNMap(matrix=assemble(mesh, adm).schur(positions), mass=M, stiffness=B, mesh=mesh)
 
 
 def apply_dtn(system: FemSystem, trace) -> np.ndarray:

@@ -5,7 +5,9 @@ The stiffness matrix is assembled exactly: the coefficient is constant per
 region, so each element contributes its real Laplace stiffness scaled by the
 region value, and the global matrix is an affine combination of per-region
 real matrices.  Systems are complex symmetric (plain transpose) and solved by
-sparse LU on the interior block.
+sparse LU on the interior block.  `FemSystem` alone chooses the back end of
+its boundary Schur complement: sine modes on an exactly row-separable strip
+mesh (no factorization), else SuperLU through `FemSystem.lifting`.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -188,6 +190,72 @@ def _find_separable_grid(mesh: Mesh) -> np.ndarray | None:
     return grid
 
 
+def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
+    """Columns of the inverse of every tridiagonal T_k, one Thomas sweep per
+    column, vectorized over the modes k.
+
+    T_k has diagonal diag[k] and off-diagonal `off`; entry [k, r, j] of the
+    result is T_k^-1[r, columns[j]].  No pivoting: Re gamma >= 1/lambda
+    makes the Hermitian part of every T_k positive definite.
+    """
+    m = diag.shape[1]
+    x = np.zeros(diag.shape + (len(columns),), dtype=complex)
+    x[:, columns, np.arange(len(columns))] = 1.0
+    piv = diag.copy()
+    for r in range(1, m):
+        ell = off[r - 1] / piv[:, r - 1]
+        piv[:, r] -= ell * off[r - 1]
+        x[:, r] -= ell[:, None] * x[:, r - 1]
+    x[:, m - 1] /= piv[:, m - 1, None]
+    for r in range(m - 2, -1, -1):
+        x[:, r] = (x[:, r] - off[r] * x[:, r + 1]) / piv[:, r, None]
+    return x
+
+
+def _ring_green(A, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A_II^-1 between the ring neighbours of the boundary nodes at grid
+    positions (rows, cols) of a row-separable strip mesh.
+
+    The orthonormal type-I sine transform S along each node row turns A_II
+    into one tridiagonal T_k across the rows per mode k (Buzbee, Golub and
+    Nielson 1970), so A_II^-1[(r, i), (s, j)] = sum_k S[i, k] S[j, k]
+    T_k^-1[r, s].  The result is gathered from fixed blocks, one per pair of
+    segments and each computed the same way whichever positions ask for it,
+    so a principal block is bitwise the full ring's.
+    """
+    m, n = grid.shape[0] - 2, grid.shape[1] - 2
+    # ring segment (bottom row, top row, left column, right column) and the
+    # position along it; a corner takes the end of its row, where it couples to nothing
+    seg = np.select([rows == 0, rows == m + 1, cols == 0], [0, 1, 2], 3)
+    along = np.where(seg < 2, np.clip(cols, 1, n), rows) - 1
+    diag, horiz, vert = _row_coefficients(A, grid)
+    k = np.arange(1, n + 1)
+    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+    T = diag + np.outer(2.0 * np.cos(np.pi * k / (n + 1)), horiz)
+    off = vert[1:-1]
+    present = np.unique(seg)
+    ends = _mode_green(T, off, [0, m - 1])        # T_k^-1 on the ring rows
+    edge = S[[0, -1]]                              # sine weights of the ring columns
+    if present[-1] >= 2:
+        weights = (edge[:, None, :] * edge[None, :, :]).reshape(4, n)
+        sides = (weights @ _mode_green(T, off, range(m)).reshape(n, m * m)).reshape(2, 2, m, m)
+
+    def block(u, v):
+        if u < 2 and v < 2:
+            return (S * ends[:, [0, m - 1][u], v]) @ S
+        if u < 2:
+            return (S * edge[v - 2]) @ ends[:, :, u]
+        if v < 2:
+            return (ends[:, :, v] * edge[u - 2][:, None]).T @ S
+        return sides[u - 2, v - 2]
+
+    size = np.where(present < 2, n, m)
+    start = np.concatenate([[0], np.cumsum(size)[:-1]])
+    loc = start[np.searchsorted(present, seg)] + along
+    R = np.block([[block(u, v) for v in present] for u in present])
+    return R[np.ix_(loc, loc)]
+
+
 def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
     """Complex stiffness: sum over the mesh's region labels j of gamma_j K_j."""
     parts = region_stiffness(mesh)
@@ -210,6 +278,7 @@ class FemSystem:
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
         self._lu = None
+        self._lifting = None
 
     @property
     def lu(self):
@@ -217,6 +286,36 @@ class FemSystem:
             ii = self.interior
             self._lu = splu(self.matrix[np.ix_(ii, ii)].tocsc())
         return self._lu
+
+    def lifting(self, positions=None) -> np.ndarray:
+        """X = A_II^-1 A_Ia on boundary `positions` (all when omitted), from
+        SuperLU; column q of -X is the harmonic extension of hat trace q."""
+        if positions is None and self._lifting is not None:
+            return self._lifting
+        bb = self.boundary if positions is None else self.boundary[positions]
+        return self.lu.solve(self.matrix[np.ix_(self.interior, bb)].toarray())
+
+    def schur(self, positions=None) -> np.ndarray:
+        """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
+
+        With `positions` (indices into the boundary trace order) only the
+        principal block on them is computed.  A row-separable strip mesh takes
+        A_II^-1 on the boundary's ring neighbours from sine modes
+        (`_ring_green`); any other mesh solves `lifting` and keeps a full one.
+        """
+        A = self.matrix
+        bb = self.boundary if positions is None else self.boundary[positions]
+        grid = _separable_grid(self.mesh)
+        if grid is None:
+            X = self.lifting(positions)
+            if positions is None:
+                self._lifting = X
+            return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
+        rows, cols = np.divmod(bb, grid.shape[1])
+        ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
+        c = np.asarray(A[bb, ring]).ravel()      # exactly 0 at the four corners
+        R = _ring_green(A, grid, rows, cols)
+        return A[np.ix_(bb, bb)].toarray() - c[:, None] * R * c[None, :]
 
     def solve(self, trace, load=None) -> "FieldSolution":
         """Dirichlet solve: boundary values `trace`, nodal right-hand side

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm, schur
+from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm
 from .forward import Admittivity, assemble, region_stiffness
 from .geometry import Mesh
 
@@ -367,37 +367,26 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return _whiten(L, Z).ravel() / math.sqrt(Z.shape[0])
 
 
-def _lifting(system) -> np.ndarray:
-    """X = A_II^-1 A_IB: column q of -X holds the interior values of the
-    discrete harmonic extension of the hat trace at boundary position q."""
-    A = system.matrix
-    return system.lu.solve(A[np.ix_(system.interior, system.boundary)].toarray())
-
-
-def _dtn_and_columns(mesh: Mesh, adm: Admittivity):
-    """DtN matrix and the exact per-strip derivative matrices d Lam / d gamma_j.
+def _derivatives(system) -> list:
+    """Exact per-strip derivative matrices d Lam / d gamma_j of a system.
 
     With the lifting H = [I; -X] (nodal values of the harmonic extensions of
     the boundary hats), d Lam / d gamma_j = H^T K_j H, and K_j couples only
-    strip j's nodes, so only H's rows on them enter.  The derivatives come
-    as a generator that forms X on first use: a caller that stops at Lam
-    forms no lifting and, on a row-separable strip mesh, no factorization.
+    strip j's nodes, so only H's rows on them enter.
     """
-    def columns():
-        X = _lifting(sys_)
-        H = np.empty((mesh.n_nodes, X.shape[1]), dtype=complex)
-        H[sys_.boundary] = np.eye(X.shape[1])
-        H[sys_.interior] = -X
-        del X
-        parts = region_stiffness(mesh)
-        for j in range(1, adm.n + 1):
-            K = parts[j]
-            nodes = np.flatnonzero(np.diff(K.indptr))
-            Hj = H[nodes]
-            yield Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj)
-
-    sys_ = assemble(mesh, adm)
-    return schur(sys_), columns()
+    X = system.lifting()      # solved before H is allocated: a lower peak RSS
+    H = np.empty((system.mesh.n_nodes, X.shape[1]), dtype=complex)
+    H[system.boundary] = np.eye(X.shape[1])
+    H[system.interior] = -X
+    del X
+    parts = region_stiffness(system.mesh)
+    out = []
+    for j in range(1, system.adm.n + 1):
+        K = parts[j]
+        nodes = np.flatnonzero(np.diff(K.indptr))
+        Hj = H[nodes]
+        out.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
+    return out
 
 
 def _jacobian(L: np.ndarray, cols) -> np.ndarray:
@@ -434,8 +423,9 @@ def sensitivity_jacobian(mesh: Mesh, adm: Admittivity) -> SensitivityResult:
     finite-dimensional inverse problem.
     """
     gram_half, L = _gram_and_chol(mesh)
-    lam, cols = _dtn_and_columns(mesh, adm)
-    cols = list(cols)
+    system = assemble(mesh, adm)
+    lam = system.schur()
+    cols = _derivatives(system)
     J = _jacobian(L, cols)
     sv = sla.svdvals(J)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
@@ -497,8 +487,8 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
     converged = False
     for it in range(max_iter + 1):
         adm_it = Admittivity(tuple(gam), lam=lam_bound)
-        lam_mat, cols = _dtn_and_columns(mesh, adm_it)
-        rvec = _phi(L, lam_mat - target_mat)
+        system = assemble(mesh, adm_it)
+        rvec = _phi(L, system.schur() - target_mat)
         misfit = float(np.linalg.norm(rvec))
         err = float(adm_it.max_jump(truth)) if truth is not None else math.nan
         history.append((it, misfit, err))
@@ -507,7 +497,8 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
             break
         if it == max_iter:
             break
-        dgam, *_ = np.linalg.lstsq(_jacobian(L, cols), -rvec, rcond=None)
+        # only an iterate that steps forms its lifting and derivative columns
+        dgam, *_ = np.linalg.lstsq(_jacobian(L, _derivatives(system)), -rvec, rcond=None)
         gam = _project_admissible(gam + dgam, lam_bound)
         if np.abs(dgam).max() < 1e-15 * max(np.abs(gam).max(), 1.0):
             break

@@ -247,6 +247,9 @@ _ARC_ERRORS = {
     "no-interior": ([0, 1], "arc has no interior nodes"),
     "not-contiguous": ([0, 2, 4], "arc positions must be contiguous in the cyclic trace order"),
     "empty": ([], "arc must be a nonempty 1D index array"),
+    # one lap of the 256-node loop and three positions more: position 1 twice
+    "laps-the-loop": ([*range(256), 0, 1, 2],
+                      "arc laps the boundary loop and repeats a position"),
 }
 
 

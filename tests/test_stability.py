@@ -6,8 +6,8 @@ import pytest
 import eitlab as el
 from eitlab import stability
 from eitlab.dtn import dtn_matrix
-from eitlab.forward import Admittivity, assemble, region_stiffness
-from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _lifting, _project_admissible,
+from eitlab.forward import Admittivity, FemSystem, assemble, region_stiffness
+from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _project_admissible,
                               constant_bound, delta_recursion, gauss_newton_reconstruct,
                               omega, omega_inverse, omega_inverse_log, omega_iterate,
                               perturb_dtn, random_harmonic_polynomial,
@@ -197,23 +197,56 @@ def test_sensitivity_matches_finite_differences():
         assert rel <= 1e-6
 
 
-@pytest.mark.parametrize("with_extension", [False, True])
-def test_sensitivity_columns_satisfy_euler_identity(with_extension):
+@pytest.mark.parametrize("with_extension, h", [
+    pytest.param(False, 1 / 64, id="False"),
+    pytest.param(True, 1 / 64, id="True"),
+    # not row-separable: Lam and the columns come from the one SuperLU lifting
+    pytest.param(False, 1 / 30, id="h-1/30"),
+])
+def test_sensitivity_columns_satisfy_euler_identity(with_extension, h):
     # Lam is homogeneous of degree 1 in all region values, so
     # sum_j gamma_j dLam/dgamma_j plus the term of the extension strip,
     # whose value is fixed at 1, gives back the Schur complement
-    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 64)
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     lam = dtn_matrix(m, a).matrix
     total = sum(g * c for g, c in zip(a.values, sensitivity_jacobian(m, a).columns))
     if with_extension:
         system = assemble(m, a)
-        X = _lifting(system)
+        X = system.lifting()
         H = np.zeros((m.n_nodes, X.shape[1]), dtype=complex)
         H[system.boundary] = np.eye(X.shape[1])
         H[system.interior] = -X
         total = total + H.T @ (region_stiffness(m)[0] @ H)
     assert np.abs(total - lam).max() <= 1e-12 * np.abs(lam).max()
+
+
+def test_each_build_solves_each_boundary_column_once(monkeypatch):
+    # h = 1/30 is not row-separable: the derivative columns reuse the
+    # SuperLU lifting that the Schur complement solved
+    m = el.generate_mesh(el.build_partition(3), 1 / 30)
+    truth = Admittivity([1.2, 1.0 + 0.7j, 2.0 - 0.3j])
+    target = dtn_matrix(m, truth).matrix
+    factorize = FemSystem.lu.fget
+    solved = []
+
+    class Counted:
+        def __init__(self, system):
+            self.system = system
+            self.lu = factorize(system)
+
+        def solve(self, rhs):
+            solved.append((self.system, rhs.shape[1]))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(FemSystem, "lu", property(Counted))
+    sensitivity_jacobian(m, truth)
+    assert [n for _, n in solved] == [len(m.boundary_nodes)] == [120]
+    solved.clear()
+    res = gauss_newton_reconstruct(target, m, Admittivity([1.0, 1.0, 1.0]), truth=truth)
+    assert res.converged and res.iterations >= 2        # iterates that step
+    assert [n for _, n in solved] == [120] * len(res.history)
+    assert len({id(s) for s, _ in solved}) == len(res.history)
 
 
 def test_sensitivity_jacobian_is_complex_with_one_column_per_strip():
