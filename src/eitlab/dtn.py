@@ -84,10 +84,11 @@ def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     """Schur complement of the stiffness onto the boundary trace basis.
 
-    With `arc` (contiguous positions in the cyclic trace order) the result
-    is the full map's principal block on the arc's interior nodes, with M
-    and B restricted alike, so its Gram encodes traces supported on the arc.
-    Only the arc's columns are computed.
+    With `arc` (contiguous positions in the cyclic trace order, each in
+    [-nb, nb) for nb boundary nodes; a negative one counts from the end) the
+    result is the full map's principal block on the arc's interior nodes,
+    with M and B restricted alike, so its Gram encodes traces supported on
+    the arc.  Only the arc's columns are computed.
     """
     M, B = boundary_operators(mesh)
     positions = None
@@ -95,6 +96,8 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
         arc = np.asarray(arc, dtype=int)
         if arc.ndim != 1 or len(arc) == 0:
             raise ValueError("arc must be a nonempty 1D index array")
+        if np.any((arc < -len(M)) | (arc >= len(M))):
+            raise ValueError(f"arc positions must lie in [-{len(M)}, {len(M)})")
         steps = np.mod(np.diff(arc), len(M))
         if np.any(steps != 1):
             raise ValueError("arc positions must be contiguous in the cyclic trace order")

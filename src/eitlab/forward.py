@@ -6,8 +6,9 @@ region, so each element contributes its real Laplace stiffness scaled by the
 region value, and the global matrix is an affine combination of per-region
 real matrices.  Systems are complex symmetric (plain transpose) and solved by
 sparse LU on the interior block.  `FemSystem` alone chooses the back end of
-its boundary Schur complement: sine modes on an exactly row-separable strip
-mesh (no factorization), else SuperLU through `FemSystem.lifting`.
+its boundary Schur complement and of that complement's derivatives in the
+strip values: sine modes on an exactly row-separable strip mesh (no
+factorization), else SuperLU through `FemSystem.lifting`.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -212,33 +213,47 @@ def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
     return x
 
 
-def _ring_green(A, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A_II^-1 between the ring neighbours of the boundary nodes at grid
-    positions (rows, cols) of a row-separable strip mesh.
+def _mode_tridiagonal(K, grid: np.ndarray):
+    """The tridiagonal T_k that the orthonormal type-I sine transform S along
+    each node row makes of K's interior block, one per mode k: its diagonals,
+    one row per mode, and the off-diagonal that every mode shares (Buzbee,
+    Golub and Nielson 1970)."""
+    diag, horiz, vert = _row_coefficients(K, grid)
+    k = np.arange(1, grid.shape[1] - 1)
+    return diag + np.outer(2.0 * np.cos(np.pi * k / (len(k) + 1)), horiz), vert[1:-1]
 
-    The orthonormal type-I sine transform S along each node row turns A_II
-    into one tridiagonal T_k across the rows per mode k (Buzbee, Golub and
-    Nielson 1970), so A_II^-1[(r, i), (s, j)] = sum_k S[i, k] S[j, k]
-    T_k^-1[r, s].  The result is gathered from fixed blocks, one per pair of
-    segments and each computed the same way whichever positions ask for it,
-    so a principal block is bitwise the full ring's.
+
+def _ring_couplings(K, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """K between each boundary node at grid position (rows, cols) and its
+    neighbour on the ring of interior nodes; exactly 0 at the four corners."""
+    ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
+    return np.asarray(K[grid[rows, cols], ring]).ravel()
+
+
+def _ring_gather(ends: np.ndarray, full, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_k S[i, k] S[j, k] M_k[r, s] between the ring neighbours, at node
+    row r, column i and row s, column j, of the boundary nodes at grid
+    positions (rows, cols), for symmetric per-mode matrices M_k.
+
+    S is the orthonormal type-I sine transform along the node rows.
+    `ends[k, :, e]` is M_k's first (e = 0) or last (e = 1) column, and
+    `full()` returns every M_k; it is called only when a side column of the
+    ring is asked for.  The result is gathered from fixed blocks, one per
+    pair of segments and each computed the same way whichever positions ask
+    for it, so a principal block is bitwise the full ring's.
     """
-    m, n = grid.shape[0] - 2, grid.shape[1] - 2
+    n, m = ends.shape[:2]
     # ring segment (bottom row, top row, left column, right column) and the
     # position along it; a corner takes the end of its row, where it couples to nothing
     seg = np.select([rows == 0, rows == m + 1, cols == 0], [0, 1, 2], 3)
     along = np.where(seg < 2, np.clip(cols, 1, n), rows) - 1
-    diag, horiz, vert = _row_coefficients(A, grid)
     k = np.arange(1, n + 1)
     S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
-    T = diag + np.outer(2.0 * np.cos(np.pi * k / (n + 1)), horiz)
-    off = vert[1:-1]
     present = np.unique(seg)
-    ends = _mode_green(T, off, [0, m - 1])        # T_k^-1 on the ring rows
     edge = S[[0, -1]]                              # sine weights of the ring columns
     if present[-1] >= 2:
         weights = (edge[:, None, :] * edge[None, :, :]).reshape(4, n)
-        sides = (weights @ _mode_green(T, off, range(m)).reshape(n, m * m)).reshape(2, 2, m, m)
+        sides = (weights @ full().reshape(n, m * m)).reshape(2, 2, m, m)
 
     def block(u, v):
         if u < 2 and v < 2:
@@ -289,7 +304,8 @@ class FemSystem:
 
     def lifting(self, positions=None) -> np.ndarray:
         """X = A_II^-1 A_Ia on boundary `positions` (all when omitted), from
-        SuperLU; column q of -X is the harmonic extension of hat trace q."""
+        SuperLU; column q of -X is the harmonic extension of hat trace q.
+        Only meshes that are not row-separable need it."""
         if positions is None and self._lifting is not None:
             return self._lifting
         bb = self.boundary if positions is None else self.boundary[positions]
@@ -301,7 +317,7 @@ class FemSystem:
         With `positions` (indices into the boundary trace order) only the
         principal block on them is computed.  A row-separable strip mesh takes
         A_II^-1 on the boundary's ring neighbours from sine modes
-        (`_ring_green`); any other mesh solves `lifting` and keeps a full one.
+        (`_ring_gather`); any other mesh solves `lifting` and keeps a full one.
         """
         A = self.matrix
         bb = self.boundary if positions is None else self.boundary[positions]
@@ -312,10 +328,66 @@ class FemSystem:
                 self._lifting = X
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
         rows, cols = np.divmod(bb, grid.shape[1])
-        ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
-        c = np.asarray(A[bb, ring]).ravel()      # exactly 0 at the four corners
-        R = _ring_green(A, grid, rows, cols)
+        c = _ring_couplings(A, grid, rows, cols)
+        T, off = _mode_tridiagonal(A, grid)
+        m = T.shape[1]
+        R = _ring_gather(_mode_green(T, off, [0, m - 1]),
+                         lambda: _mode_green(T, off, range(m)), rows, cols)
         return A[np.ix_(bb, bb)].toarray() - c[:, None] * R * c[None, :]
+
+    def derivatives(self) -> list:
+        """Derivatives d Lam / d gamma_j of the full Schur complement, one
+        per strip j = 1..N.
+
+        The stiffness is gamma_j K_j plus the other strips' terms, so on a
+        row-separable strip mesh, with Lam = A_BB - c R c as in `schur`,
+        d Lam / d gamma_j = K_j,BB - c_j R c - c R c_j + c P_j c, where c_j
+        are K_j's ring couplings and P_j = A_II^-1 K_j A_II^-1 on the ring.
+        Each K_j is its own row stencil, so mode k carries
+        P_j,k = G_k T_k^(j) G_k with G_k = T_k^-1, and T_k^(j) is nonzero
+        only on strip j's node rows.  Any other mesh takes H^T K_j H with the
+        lifting H = [I; -X], restricted to strip j's nodes.
+        """
+        parts = region_stiffness(self.mesh)
+        strips = [parts[j] for j in range(1, self.adm.n + 1)]
+        grid = _separable_grid(self.mesh)
+        if grid is None:
+            X = self.lifting()      # solved before H is allocated: a lower peak RSS
+            H = np.empty((self.mesh.n_nodes, X.shape[1]), dtype=complex)
+            H[self.boundary] = np.eye(X.shape[1])
+            H[self.interior] = -X
+            del X
+            out = []
+            for K in strips:
+                nodes = np.flatnonzero(np.diff(K.indptr))
+                Hj = H[nodes]
+                out.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
+            return out
+
+        A, bb = self.matrix, self.boundary
+        rows, cols = np.divmod(bb, grid.shape[1])
+        T, off = _mode_tridiagonal(A, grid)
+        m = T.shape[1]
+        G = _mode_green(T, off, range(m))
+
+        def gather(M):
+            return _ring_gather(M[:, :, [0, m - 1]], lambda: M, rows, cols)
+
+        c = _ring_couplings(A, grid, rows, cols)
+        R = gather(G)
+        out = []
+        for K in strips:
+            Tj, offj = _mode_tridiagonal(K, grid)
+            on = np.flatnonzero(Tj.any(axis=0))
+            lo, hi = on[0], on[-1] + 1          # strip j's node rows
+            TG = Tj[:, lo:hi, None] * G[:, lo:hi]
+            TG[:, 1:] += offj[lo:hi - 1, None] * G[:, lo:hi - 1]
+            TG[:, :-1] += offj[lo:hi - 1, None] * G[:, lo + 1:hi]
+            P = G[:, :, lo:hi] @ TG
+            cj = _ring_couplings(K, grid, rows, cols)
+            out.append(K[np.ix_(bb, bb)].toarray() - cj[:, None] * R * c[None, :]
+                       - c[:, None] * R * cj[None, :] + c[:, None] * gather(P) * c[None, :])
+        return out
 
     def solve(self, trace, load=None) -> "FieldSolution":
         """Dirichlet solve: boundary values `trace`, nodal right-hand side

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm
-from .forward import Admittivity, assemble, region_stiffness
+from .forward import Admittivity, assemble
 from .geometry import Mesh
 
 __all__ = [
@@ -367,28 +367,6 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return _whiten(L, Z).ravel() / math.sqrt(Z.shape[0])
 
 
-def _derivatives(system) -> list:
-    """Exact per-strip derivative matrices d Lam / d gamma_j of a system.
-
-    With the lifting H = [I; -X] (nodal values of the harmonic extensions of
-    the boundary hats), d Lam / d gamma_j = H^T K_j H, and K_j couples only
-    strip j's nodes, so only H's rows on them enter.
-    """
-    X = system.lifting()      # solved before H is allocated: a lower peak RSS
-    H = np.empty((system.mesh.n_nodes, X.shape[1]), dtype=complex)
-    H[system.boundary] = np.eye(X.shape[1])
-    H[system.interior] = -X
-    del X
-    parts = region_stiffness(system.mesh)
-    out = []
-    for j in range(1, system.adm.n + 1):
-        K = parts[j]
-        nodes = np.flatnonzero(np.diff(K.indptr))
-        Hj = H[nodes]
-        out.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
-    return out
-
-
 def _jacobian(L: np.ndarray, cols) -> np.ndarray:
     """Weighted complex Jacobian, one column per strip value."""
     return np.column_stack([_phi(L, Mj) for Mj in cols])
@@ -425,7 +403,7 @@ def sensitivity_jacobian(mesh: Mesh, adm: Admittivity) -> SensitivityResult:
     gram_half, L = _gram_and_chol(mesh)
     system = assemble(mesh, adm)
     lam = system.schur()
-    cols = _derivatives(system)
+    cols = system.derivatives()
     J = _jacobian(L, cols)
     sv = sla.svdvals(J)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
@@ -497,8 +475,8 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
             break
         if it == max_iter:
             break
-        # only an iterate that steps forms its lifting and derivative columns
-        dgam, *_ = np.linalg.lstsq(_jacobian(L, _derivatives(system)), -rvec, rcond=None)
+        # only an iterate that steps forms its derivative columns
+        dgam, *_ = np.linalg.lstsq(_jacobian(L, system.derivatives()), -rvec, rcond=None)
         gam = _project_admissible(gam + dgam, lam_bound)
         if np.abs(dgam).max() < 1e-15 * max(np.abs(gam).max(), 1.0):
             break

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,9 +451,9 @@ def test_reconstruct_noise_past_lambda_stays_admissible(tmp_path, capsys):
     assert (out / "noise_sweep.csv").exists()
 
 
-def _reconstruct_factorizations(tmp_path, monkeypatch, config):
-    """Run a reconstruct config; return its factorization count and the
-    result of each Gauss-Newton run."""
+def _reconstruct_counts(tmp_path, monkeypatch, config):
+    """Run a reconstruct config; return its factorization count, its count
+    of derivative-column builds and the result of each Gauss-Newton run."""
     factorizations = []
     splu = forward.splu
 
@@ -460,6 +461,8 @@ def _reconstruct_factorizations(tmp_path, monkeypatch, config):
         factorizations.append(A.shape)
         return splu(A)
 
+    builds = []
+    derivatives = FemSystem.derivatives
     runs = []
     reconstruct = cli.gauss_newton_reconstruct
 
@@ -468,10 +471,12 @@ def _reconstruct_factorizations(tmp_path, monkeypatch, config):
         return runs[-1]
 
     monkeypatch.setattr(forward, "splu", counted)
+    monkeypatch.setattr(FemSystem, "derivatives",
+                        lambda system: builds.append(system) or derivatives(system))
     monkeypatch.setattr(cli, "gauss_newton_reconstruct", traced)
     cfg = write_config(tmp_path, config)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    return len(factorizations), runs
+    return len(factorizations), len(builds), runs
 
 
 def _steps(res, max_iter):
@@ -481,20 +486,39 @@ def _steps(res, max_iter):
 
 
 def test_reconstruct_factorizes_the_truth_once(tmp_path, monkeypatch):
-    # on a strip mesh a DtN map needs no factorization: only the truth's
-    # lifting (for the worst-case noise direction) and each iterate that
-    # computes a step factorize, once each
+    # on a strip mesh neither a DtN map nor its derivative columns factorize;
+    # only the truth's Jacobian (for the worst-case noise direction) and each
+    # iterate that computes a step build derivative columns, once each
     config = _SMOKE["reconstruct"]
     max_iter = config["params"]["max_iter"]
-    count, runs = _reconstruct_factorizations(tmp_path, monkeypatch, config)
+    count, builds, runs = _reconstruct_counts(tmp_path, monkeypatch, config)
     assert len(runs) == 2
     assert runs[0].converged                       # its last build forms nothing
     assert not runs[1].converged and runs[1].iterations < max_iter   # a vanishing step
-    assert count == 1 + sum(_steps(r, max_iter) for r in runs)
+    assert count == 0
+    assert builds == 1 + sum(_steps(r, max_iter) for r in runs)
 
 
 def test_reconstruct_without_noise_forms_no_truth_lifting(tmp_path, monkeypatch):
     config = dict(_SMOKE["reconstruct"], params={"max_iter": 8})
-    count, runs = _reconstruct_factorizations(tmp_path, monkeypatch, config)
+    count, builds, runs = _reconstruct_counts(tmp_path, monkeypatch, config)
     assert len(runs) == 1 and runs[0].converged
-    assert count == len(runs[0].history) - 1
+    assert count == 0
+    assert builds == len(runs[0].history) - 1
+
+
+_FALLBACK = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
+                        / "reconstruct_fallback.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+def test_reconstruct_fallback_factorizes_each_build_once(tmp_path, monkeypatch, noise):
+    # h = 1/30 is not row-separable: the truth and every Gauss-Newton build
+    # factorize once for Lam, and the derivative columns reuse that lifting
+    config = _FALLBACK if noise else dict(_FALLBACK, params={})
+    max_iter = 30                                  # the CLI default
+    count, builds, runs = _reconstruct_counts(tmp_path, monkeypatch, config)
+    assert len(runs) == (2 if noise else 1)
+    assert count == 1 + sum(len(r.history) for r in runs)
+    truth = 1 if noise else 0                      # the noise direction's Jacobian
+    assert builds == truth + sum(_steps(r, max_iter) for r in runs)

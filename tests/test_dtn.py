@@ -250,6 +250,8 @@ _ARC_ERRORS = {
     # one lap of the 256-node loop and three positions more: position 1 twice
     "laps-the-loop": ([*range(256), 0, 1, 2],
                       "arc laps the boundary loop and repeats a position"),
+    # contiguous, but past the last of the 256 positions; negative ones wrap
+    "past-the-loop": ([*range(256, 261)], "arc positions must lie in [-256, 256)"),
 }
 
 
@@ -259,6 +261,66 @@ def test_dtn_matrix_arc_errors_match_local_dtn(strips2_mesh64, arc, message):
     with pytest.raises(ValueError) as direct:
         dtn_matrix(m, Admittivity([1.0, 2.0]), arc=np.array(arc, dtype=int))
     assert str(direct.value) == message
+
+
+def _layered_transfer(kappa, layers):
+    """Transfer matrix of (phi, gamma phi') from the bottom to the top of
+    flat layers (gamma, thickness), listed bottom first, for
+    phi'' = kappa^2 phi in each layer, and its derivative in each gamma."""
+    mats, ders = [], []
+    for g, t in layers:
+        c, s = np.cosh(kappa * t), np.sinh(kappa * t)
+        mats.append(np.array([[c, s / (kappa * g)], [g * kappa * s, c]]))
+        ders.append(np.array([[0.0, -s / (kappa * g * g)], [kappa * s, 0.0]]))
+
+    def product(factors):
+        out = np.eye(2, dtype=complex)
+        for f in factors:
+            out = f @ out
+        return out
+
+    return product(mats), [product(mats[:i] + [d] + mats[i + 1:]) for i, d in enumerate(ders)]
+
+
+@pytest.mark.parametrize("with_extension", [False, True])
+def test_bottom_arc_map_matches_layered_closed_form(with_extension):
+    # data sin(k pi x) on the bottom edge, zero on the rest, extend to
+    # sin(k pi x) phi(y) with phi(top) = 0, so the continuum DtN eigenvalue
+    # is -gamma phi'(0) / phi(0) = M11 / M12 for the transfer matrix M; the
+    # discrete bottom-arc map is diagonal in the type-I sine transform, and
+    # each mode value over the same mode of the arc mass must converge to it
+    # at second order, and so must its derivative in each strip value
+    gammas = [1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j]
+    a = Admittivity(gammas)
+    below = [(1.0, 1 / 3)] if with_extension else []      # the extension strip
+    layers = below + [(g, 1 / 3) for g in gammas]
+    ks = np.arange(1, 5)
+    exact, exact_d = [], []
+    for k in ks:
+        M, dM = _layered_transfer(k * np.pi, layers)
+        exact.append(M[0, 0] / M[0, 1])
+        exact_d.append([(d[0, 0] * M[0, 1] - M[0, 0] * d[0, 1]) / M[0, 1] ** 2
+                        for d in dM[len(below):]])
+    exact, exact_d = np.array(exact), np.array(exact_d)
+    errors, errors_d = [], []
+    for h in [1 / 32, 1 / 64, 1 / 128]:
+        m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
+        d = dtn_matrix(m, a, arc=_bottom_arc(m))
+        n = d.n
+        j = np.arange(1, n + 1)
+        S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+        lam = S @ d.matrix @ S
+        mass = np.diag(S @ d.mass @ S)
+        assert np.abs(lam - np.diag(np.diag(lam))).max() <= 1e-12 * np.abs(lam).max()
+        interior = slice(1, n + 1)                 # the arc's interior positions
+        modes = np.array([np.diag(S @ c[interior, interior] @ S) / mass
+                          for c in assemble(m, a).derivatives()]).T
+        errors.append(np.abs(np.diag(lam)[ks - 1] / mass[ks - 1] - exact) / np.abs(exact))
+        errors_d.append(np.abs(modes[ks - 1] - exact_d) / np.abs(exact_d))
+    order = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    order_d = np.log2(np.array(errors_d[:-1]) / np.array(errors_d[1:]))[:, :3]
+    assert np.abs(order - 2.0).max() <= 0.1
+    assert np.abs(order_d - 2.0).max() <= 0.1
 
 
 def test_dtn_csv_export(tmp_path, strips2_mesh64):

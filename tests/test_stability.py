@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import eitlab as el
-from eitlab import stability
+from eitlab import forward
 from eitlab.dtn import dtn_matrix
-from eitlab.forward import Admittivity, FemSystem, assemble, region_stiffness
+from eitlab.forward import Admittivity, FemSystem, _separable_grid, assemble, region_stiffness
 from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _project_admissible,
                               constant_bound, delta_recursion, gauss_newton_reconstruct,
                               omega, omega_inverse, omega_inverse_log, omega_iterate,
@@ -197,6 +198,17 @@ def test_sensitivity_matches_finite_differences():
         assert rel <= 1e-6
 
 
+def _superlu_columns(mesh, adm, labels):
+    """H^T K_l H for each region label l, with the lifting H = [I; -X] of
+    one sparse LU of the interior block."""
+    system = assemble(mesh, adm)
+    A, ii, bb = system.matrix, system.interior, system.boundary
+    H = np.zeros((mesh.n_nodes, len(bb)), dtype=complex)
+    H[bb] = np.eye(len(bb))
+    H[ii] = -splu(A[np.ix_(ii, ii)].tocsc()).solve(A[np.ix_(ii, bb)].toarray())
+    return [H.T @ (region_stiffness(mesh)[lbl] @ H) for lbl in labels]
+
+
 @pytest.mark.parametrize("with_extension, h", [
     pytest.param(False, 1 / 64, id="False"),
     pytest.param(True, 1 / 64, id="True"),
@@ -206,19 +218,34 @@ def test_sensitivity_matches_finite_differences():
 def test_sensitivity_columns_satisfy_euler_identity(with_extension, h):
     # Lam is homogeneous of degree 1 in all region values, so
     # sum_j gamma_j dLam/dgamma_j plus the term of the extension strip,
-    # whose value is fixed at 1, gives back the Schur complement
+    # whose value is fixed at 1, gives back the Schur complement; on a strip
+    # mesh both the columns and Lam come from sine modes
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     lam = dtn_matrix(m, a).matrix
     total = sum(g * c for g, c in zip(a.values, sensitivity_jacobian(m, a).columns))
     if with_extension:
-        system = assemble(m, a)
-        X = system.lifting()
-        H = np.zeros((m.n_nodes, X.shape[1]), dtype=complex)
-        H[system.boundary] = np.eye(X.shape[1])
-        H[system.interior] = -X
-        total = total + H.T @ (region_stiffness(m)[0] @ H)
+        total = total + _superlu_columns(m, a, [0])[0]
     assert np.abs(total - lam).max() <= 1e-12 * np.abs(lam).max()
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+@pytest.mark.parametrize("with_extension", [False, True])
+def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch, h,
+                                                                     with_extension):
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    assert _separable_grid(m) is not None
+    factorizations = []
+    factorize = forward.splu
+    monkeypatch.setattr(forward, "splu",
+                        lambda A: factorizations.append(A.shape) or factorize(A))
+    cols = assemble(m, a).derivatives()
+    assert factorizations == []
+    ref = _superlu_columns(m, a, [1, 2, 3])
+    assert len(cols) == len(ref)
+    for c, r in zip(cols, ref):
+        assert np.abs(c - r).max() <= 1e-12 * np.abs(r).max()
 
 
 def test_each_build_solves_each_boundary_column_once(monkeypatch):
@@ -283,11 +310,11 @@ def test_reconstruction_fixed_point(monkeypatch):
     m = el.generate_mesh(p, 1 / 16)
     truth = Admittivity([1.2, 1.0 + 0.7j, 2.0 - 0.3j])
     target = dtn_matrix(m, truth).matrix
-    # the derivative columns are the only reader of the strip stiffnesses
-    # here; an iterate that converges takes no step and forms none
+    # an iterate that converges takes no step and forms no derivative columns
     column_builds = []
-    monkeypatch.setattr(stability, "region_stiffness",
-                        lambda mesh: column_builds.append(mesh) or region_stiffness(mesh))
+    derivatives = FemSystem.derivatives
+    monkeypatch.setattr(FemSystem, "derivatives",
+                        lambda system: column_builds.append(system) or derivatives(system))
     res = gauss_newton_reconstruct(target, m, truth, truth=truth)
     assert res.iterations == 0
     assert res.history[0][1] <= 1e-12
