@@ -120,6 +120,48 @@ def _p1_grads(mesh: Mesh):
     return area, grads
 
 
+def _tri_bins(mesh: Mesh):
+    """Uniform cell grid over the mesh for point location.
+
+    The cell side is the largest triangle bounding-box extent.  Each cell
+    lists, in increasing index and padded with -1 to the fullest cell, every
+    triangle whose bounding box meets it once widened by 1e-8 of the box
+    size.  A point whose barycentrics are all >= -1e-9 lies within 2e-9 of
+    the size outside the box, so every triangle that can contain a point
+    within the location tolerance is listed in the point's cell.
+    Returns (origin, cell side, grid shape, table).
+    """
+    if "tri_bins" in mesh._cache:
+        return mesh._cache["tri_bins"]
+    tp = mesh.tri_points()
+    lo, hi = tp.min(axis=1), tp.max(axis=1)
+    size = hi - lo
+    pad = 1e-8 * size.max(axis=1, keepdims=True)
+    lo, hi = lo - pad, hi + pad
+    cell = size.max()
+    origin = lo.min(axis=0)
+    first = np.floor((lo - origin) / cell).astype(np.int64)
+    last = np.floor((hi - origin) / cell).astype(np.int64)
+    shape = last.max(axis=0) + 1
+    reach = (last - first).max(axis=0) + 1
+    tris, cells = [], []
+    for di in range(reach[0]):
+        for dj in range(reach[1]):
+            ij = first + (di, dj)
+            hit = np.nonzero(np.all(ij <= last, axis=1))[0]
+            tris.append(hit)
+            cells.append(ij[hit, 0] * shape[1] + ij[hit, 1])
+    tris, cells = np.concatenate(tris), np.concatenate(cells)
+    order = np.lexsort((tris, cells))
+    tris, cells = tris[order], cells[order]
+    counts = np.bincount(cells, minlength=shape[0] * shape[1])
+    slot = np.arange(len(cells)) - (np.cumsum(counts) - counts)[cells]
+    table = np.full((len(counts), counts.max()), -1, dtype=np.int64)
+    table[cells, slot] = tris
+    mesh._cache["tri_bins"] = (origin, cell, shape, table)
+    return mesh._cache["tri_bins"]
+
+
 def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
     """Real Laplace stiffness restricted to each region label."""
     if "region_stiffness" in mesh._cache:
@@ -517,32 +559,39 @@ class FieldSolution:
         return self.values[first] + step
 
     def _locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Containing triangle and barycentric coordinates for each point."""
+        """Containing triangle and barycentric coordinates for each point.
+
+        The triangle is the one whose smallest barycentric is largest, the
+        lowest index among ties; a point it holds only with a barycentric
+        below -1e-9, or a point that is not finite, is outside the mesh.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tp = self.mesh.tri_points()
-        tri_idx = np.empty(len(pts), dtype=np.int64)
-        bary_out = np.empty((len(pts), 3))
-        # signed-area barycentric against all triangles, chunked over points
-        x0, y0 = tp[:, 0, 0], tp[:, 0, 1]
-        e1 = tp[:, 1] - tp[:, 0]
-        e2 = tp[:, 2] - tp[:, 0]
-        det = 2.0 * self.mesh.areas()
-        for start in range(0, len(pts), 256):
-            chunk = pts[start:start + 256]
-            dx = chunk[:, None, 0] - x0[None, :]
-            dy = chunk[:, None, 1] - y0[None, :]
-            l1 = (dx * e2[None, :, 1] - dy * e2[None, :, 0]) / det[None, :]
-            l2 = (dy * e1[None, :, 0] - dx * e1[None, :, 1]) / det[None, :]
-            l0 = 1.0 - l1 - l2
-            viol = np.minimum(np.minimum(l0, l1), l2)
-            best = viol.argmax(axis=1)
-            rows = np.arange(len(chunk))
-            if np.any(viol[rows, best] < -1e-9):
-                raise GeometryError("point outside the meshed domain")
-            tri_idx[start:start + 256] = best
-            bary_out[start:start + 256] = np.stack(
-                [l0[rows, best], l1[rows, best], l2[rows, best]], axis=1)
-        return tri_idx, np.clip(bary_out, 0.0, 1.0)
+        origin, cell, shape, table = _tri_bins(self.mesh)
+        ij = np.floor((pts - origin) / cell)
+        # false off the grid, and for a coordinate that is NaN or infinite
+        if not np.all((ij >= 0) & (ij < shape)):
+            raise GeometryError("point outside the meshed domain")
+        ij = ij.astype(np.int64)
+        cand = table[ij[:, 0] * shape[1] + ij[:, 1]]       # (n, fullest cell)
+        tri = np.maximum(cand, 0)
+        # signed-area barycentric against the candidates of each point's cell
+        tp = self.mesh.tri_points()[tri]
+        x0, y0 = tp[..., 0, 0], tp[..., 0, 1]
+        e1 = tp[..., 1, :] - tp[..., 0, :]
+        e2 = tp[..., 2, :] - tp[..., 0, :]
+        det = 2.0 * self.mesh.areas()[tri]
+        dx = pts[:, None, 0] - x0
+        dy = pts[:, None, 1] - y0
+        l1 = (dx * e2[..., 1] - dy * e2[..., 0]) / det
+        l2 = (dy * e1[..., 0] - dx * e1[..., 1]) / det
+        l0 = 1.0 - l1 - l2
+        viol = np.where(cand >= 0, np.minimum(np.minimum(l0, l1), l2), -np.inf)
+        best = viol.argmax(axis=1)
+        rows = np.arange(len(pts))
+        if np.any(viol[rows, best] < -1e-9):
+            raise GeometryError("point outside the meshed domain")
+        bary = np.stack([l0[rows, best], l1[rows, best], l2[rows, best]], axis=1)
+        return cand[rows, best], np.clip(bary, 0.0, 1.0)
 
     def interpolate(self, points) -> np.ndarray:
         tri_idx, bary = self._locate(points)

@@ -21,7 +21,7 @@ no conjugation) over the unexplored strips above depth k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,7 @@ class SingularSolution:
     w: FieldSolution
     mesh: Mesh
     adm: Admittivity
+    _probe: dict = field(default_factory=dict, repr=False)
 
     def _local(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
@@ -107,6 +108,15 @@ class SingularSolution:
 
     def gradient(self, points) -> np.ndarray:
         return self.kernel_grad(points) + self.w.gradient_at(points)
+
+    def _probe_gradients(self, k: int) -> np.ndarray:
+        """Gradient at the TRI7 points of every triangle above depth k,
+        shape (m, 7, 2); formed once per depth."""
+        if k not in self._probe:
+            in_u, qp = _probe_points(self.mesh, k)
+            gk = self.kernel_grad(qp.reshape(-1, 2)).reshape(-1, 7, 2)
+            self._probe[k] = gk + self.w.gradients()[in_u][:, None, :]
+        return self._probe[k]
 
     def h1_energy_excluding_ball(self, r: float, depth: int = 6) -> float:
         """Squared H1 norm of G over the domain minus the ball B_r(y)."""
@@ -191,9 +201,8 @@ class CorrectorSolver:
             gk = sol.kernel_grad(qp.reshape(-1, 2)).reshape(-1, 7, 2)
             area, grads = _p1_grads(mesh)
             # b_i = -sum_T gtilde_T area_T sum_q w_q grad Gamma_l(x_q) . grad phi_i
-            contrib = -np.einsum("m,m,mqd,q,mid->mi",
-                                 gtilde[active], area[active], gk, TRI7_W,
-                                 grads[active])
+            scaled = (gtilde[active] * area[active])[:, None] * (TRI7_W @ gk)
+            contrib = -np.einsum("md,mid->mi", scaled, grads[active])
             np.add.at(b, mesh.triangles[active].ravel(), contrib.ravel())
 
         sol.w = self.system.solve(-sol.kernel(mesh.nodes[mesh.boundary_nodes]), load=b)
@@ -267,6 +276,16 @@ def _u_labels(mesh: Mesh, k: int) -> set[int]:
     return p.u_labels(k)
 
 
+def _probe_points(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the triangles above depth k and their TRI7 points (m, 7, 2)."""
+    labels = tuple(sorted(_u_labels(mesh, k)))
+    key = ("probe_points", labels)
+    if key not in mesh._cache:
+        in_u = np.isin(mesh.tri_region, labels)
+        mesh._cache[key] = (in_u, tri7_points(mesh.tri_points()[in_u]))
+    return mesh._cache[key]
+
+
 def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
     """Probe integral over the unexplored strips above depth k.
 
@@ -283,13 +302,13 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
             raise PlacementError("source lies inside the unexplored region")
 
     diff = g1.adm.element_values(mesh) - g2.adm.element_values(mesh)
-    sel = np.isin(mesh.tri_region, sorted(labels)) & (np.abs(diff) > 0)
+    in_u, _ = _probe_points(mesh, k)
+    sel = in_u & (np.abs(diff) > 0)
     if not np.any(sel):
         return 0.0 + 0.0j
-    qp = tri7_points(mesh.tri_points()[sel])
-    flat = qp.reshape(-1, 2)
-    grad1 = g1.kernel_grad(flat).reshape(-1, 7, 2) + g1.w.gradients()[sel][:, None, :]
-    grad2 = g2.kernel_grad(flat).reshape(-1, 7, 2) + g2.w.gradients()[sel][:, None, :]
+    rows = sel[in_u]
+    grad1 = g1._probe_gradients(k)[rows]
+    grad2 = g2._probe_gradients(k)[rows]
     dots = (grad1 * grad2).sum(axis=2)          # bilinear, no conjugation
     area = mesh.areas()[sel]
     return complex(np.sum(diff[sel] * area * (dots @ TRI7_W)))

@@ -275,3 +275,122 @@ def test_field_csv_export(tmp_path):
     assert np.array_equal(data[:, 1:3], m.nodes)
     assert np.array_equal(data[:, 3], u.values.real)
     assert np.array_equal(data[:, 4], u.values.imag)
+
+
+def _brute_force_locate(mesh, points):
+    """Point-location oracle: every point tested against every triangle.
+
+    Returns (triangle, clipped barycentrics, accepted) with the same formulas,
+    the same argmax and the same -1e-9 acceptance as `FieldSolution._locate`.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    tp = mesh.tri_points()
+    tri_idx = np.empty(len(pts), dtype=np.int64)
+    bary_out = np.empty((len(pts), 3))
+    ok = np.empty(len(pts), dtype=bool)
+    x0, y0 = tp[:, 0, 0], tp[:, 0, 1]
+    e1 = tp[:, 1] - tp[:, 0]
+    e2 = tp[:, 2] - tp[:, 0]
+    det = 2.0 * mesh.areas()
+    for start in range(0, len(pts), 256):
+        chunk = pts[start:start + 256]
+        dx = chunk[:, None, 0] - x0[None, :]
+        dy = chunk[:, None, 1] - y0[None, :]
+        l1 = (dx * e2[None, :, 1] - dy * e2[None, :, 0]) / det[None, :]
+        l2 = (dy * e1[None, :, 0] - dx * e1[None, :, 1]) / det[None, :]
+        l0 = 1.0 - l1 - l2
+        viol = np.minimum(np.minimum(l0, l1), l2)
+        best = viol.argmax(axis=1)
+        rows = np.arange(len(chunk))
+        ok[start:start + 256] = viol[rows, best] >= -1e-9
+        tri_idx[start:start + 256] = best
+        bary_out[start:start + 256] = np.stack(
+            [l0[rows, best], l1[rows, best], l2[rows, best]], axis=1)
+    return tri_idx, np.clip(bary_out, 0.0, 1.0), ok
+
+
+def _location_mesh(name, tmp_path):
+    if name.startswith("strips"):
+        _, h, ext = name.split("-")
+        p = el.build_partition(3, with_extension=ext == "ext")
+        return el.generate_mesh(p, 1 / int(h))
+    if name == "offset-rect":
+        return el.generate_mesh(el.build_partition(2, rect=(0.25, -0.6, 1.45, 0.3)), 1 / 20)
+    if name == "disk":
+        return el.generate_disk_mesh(1 / 16, radius=0.8, center=(0.1, -0.2))
+    path = tmp_path / "mesh.txt"                     # "read-mesh"
+    el.write_mesh(el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16),
+                  path)
+    return el.read_mesh(path)
+
+
+def _edge_midpoints(mesh):
+    tri = mesh.triangles
+    edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                              tri[:, [2, 0]]]), axis=1), axis=0)
+    return mesh.nodes[edges].mean(axis=1)
+
+
+def _just_outside(mesh, eps=5e-11):
+    """Points eps off each boundary-edge midpoint and each boundary node, on
+    both sides, plus points off the bounding-box corners at multiples of
+    1e-9 of the mesh size."""
+    a, b = mesh.nodes[mesh.boundary_edges.T]
+    t = (b - a) / np.linalg.norm(b - a, axis=1)[:, None]
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    mid = (a + b) / 2
+    bn = mesh.nodes[mesh.boundary_nodes]
+    away = bn - mesh.nodes.mean(axis=0)
+    away /= np.linalg.norm(away, axis=1)[:, None]
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    corners = np.array([[x, y] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
+    size = np.ptp(mesh.tri_points(), axis=1).max()
+    factors = (0.5, 0.9, 1.0, 1.5, 1.9, 2.0, 3.0)
+    steps = size * 1e-9 * np.array([[s, r] for s in factors for r in factors])
+    sign = np.sign(corners - mesh.nodes.mean(axis=0))
+    corner_pts = (corners[:, None, :] + sign[:, None, :] * steps[None]).reshape(-1, 2)
+    return np.concatenate([mid + eps * n, mid - eps * n, bn + eps * away,
+                           bn - eps * away, corner_pts])
+
+
+def _check_against_oracle(mesh, points):
+    tri, bary, ok = _brute_force_locate(mesh, points)
+    u = el.FieldSolution(mesh=mesh, values=np.zeros(mesh.n_nodes, dtype=complex))
+    got_tri, got_bary = u._locate(points[ok])
+    assert np.array_equal(got_tri, tri[ok])
+    assert got_bary.tobytes() == bary[ok].tobytes()
+    for p in points[~ok]:
+        with pytest.raises(GeometryError, match="outside the meshed domain"):
+            u._locate(p[None, :])
+
+
+@pytest.mark.parametrize("name", [f"strips-{n}-{ext}" for n in (16, 30, 64)
+                                  for ext in ("plain", "ext")]
+                         + ["offset-rect", "disk", "read-mesh"])
+def test_point_location_matches_brute_force(name, tmp_path):
+    mesh = _location_mesh(name, tmp_path)
+    rng = np.random.default_rng(7)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    tp = mesh.tri_points()
+    w = rng.dirichlet(np.ones(3), size=300)
+    inside = np.einsum("pi,pid->pd", w, tp[rng.integers(0, len(tp), 300)])
+    for pts in (rng.uniform(lo, hi, size=(300, 2)), inside, mesh.nodes,
+                mesh.centroids(), _edge_midpoints(mesh), _just_outside(mesh)):
+        _check_against_oracle(mesh, pts)
+
+
+def test_point_location_edge_cases():
+    disk = el.generate_disk_mesh(1 / 8)
+    u = el.FieldSolution(mesh=disk, values=np.zeros(disk.n_nodes, dtype=complex))
+    with pytest.raises(GeometryError, match="outside the meshed domain"):
+        u._locate(np.array([[0.97, 0.97]]))          # corner of the bounding square
+    tri, bary = u._locate(np.empty((0, 2)))
+    assert tri.shape == (0,) and tri.dtype == np.int64 and bary.shape == (0, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        for p in ([bad, 0.5], [0.0, bad]):
+            with pytest.raises(GeometryError, match="outside the meshed domain"):
+                u._locate(np.array([p]))
+            with pytest.raises(GeometryError, match="outside the meshed domain"):
+                u.gradient_at(np.array(p))
+            with pytest.raises(GeometryError, match="outside the meshed domain"):
+                u.interpolate(np.array([[0.0, 0.0], p]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import eitlab as el
+from eitlab import singular
 from eitlab.forward import Admittivity, FemSystem, SolverError, region_stiffness
 from eitlab.fundsol import TwoPhaseCoeffs, laplace_gamma
 from eitlab.geometry import GeometryError, Rect
@@ -10,7 +11,7 @@ from eitlab.singular import (CorrectorSolver, MeshMismatchError, PlacementError,
                              alessandrini_pair, asymptotics_check, default_link,
                              green_correction, half_space_probe_integral,
                              half_space_probe_rate, probe_field_residual,
-                             s_k_evaluate)
+                             s_k_evaluate, s_k_on_grid)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,34 @@ def test_probe_field_weak_residual_decreases():
     res_coarse, _, _ = probe_field_residual(sv1, sv2, 2, z, box, 0.06, link2=1)
     res_fine, _, _ = probe_field_residual(sv1, sv2, 2, z, box, 0.03, link2=1)
     assert res_fine <= res_coarse / 2.0
+
+
+def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch):
+    p = el.build_partition(3, with_extension=True)
+    m = el.generate_mesh(p, 1 / 16)
+    sv1 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 1.5]))
+    sv2 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 3.0]))
+    z = np.array([0.48, -0.23])                 # below interface 1, at y = 0
+    points = np.array([[x, y] for x in (0.42, 0.5, 0.57)
+                       for y in (1 / 3 - 0.1, 1 / 3, 1 / 3 + 0.05)])
+
+    sources = []
+    kernel_grad = singular.two_phase_gamma_grad
+
+    def counted(x, y, c, n=2):
+        sources.append((tuple(y), len(x)))
+        return kernel_grad(x, y, c, n)
+
+    monkeypatch.setattr(singular, "two_phase_gamma_grad", counted)
+    got = s_k_on_grid(sv1, sv2, 2, z, points, link2=1)
+    z_calls = [n for y, n in sources if y == tuple(z)]
+    # one load for the corrector, then one probe evaluation for the whole grid
+    assert z_calls[1:] == [7 * np.count_nonzero(m.tri_region == 3)]
+
+    gz = sv2.correction(z, link=1)
+    want = [s_k_evaluate(sv1.correction(y, check_placement=False), gz, 2) for y in points]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.all(got != 0)
 
 
 def test_alessandrini_trivial_pair(strips3_mesh64):
