@@ -8,7 +8,8 @@ real matrices.  Systems are complex symmetric (plain transpose) and solved by
 sparse LU on the interior block.  `FemSystem` alone chooses the back end of
 its boundary Schur complement and of that complement's derivatives in the
 strip values: sine modes on an exactly row-separable strip mesh (no
-factorization), else SuperLU through `FemSystem.lifting`.
+factorization), else SuperLU.  Either way a full map keeps its interior
+solve on the system, and the derivatives read it.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -19,6 +20,7 @@ function energy on concentric balls.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -92,11 +94,10 @@ class Admittivity:
         return self.values[label - 1]
 
     def element_values(self, mesh: Mesh) -> np.ndarray:
-        table = {lbl: self.value_for(lbl) for lbl in np.unique(mesh.tri_region)}
-        out = np.empty(mesh.n_triangles, dtype=complex)
-        for lbl, g in table.items():
-            out[mesh.tri_region == lbl] = g
-        return out
+        if "labels" not in mesh._cache:
+            mesh._cache["labels"] = np.unique(mesh.tri_region, return_inverse=True)
+        labels, index = mesh._cache["labels"]
+        return np.array([self.value_for(lbl) for lbl in labels], dtype=complex)[index]
 
     def max_jump(self, other: "Admittivity") -> float:
         """L-infinity distance between two coefficient vectors."""
@@ -325,7 +326,7 @@ class FemSystem:
     def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh
         self.adm = adm
-        labels = set(np.unique(mesh.tri_region).tolist())
+        labels = set(region_stiffness(mesh))
         expected = set(range(0, adm.n + 1)) if 0 in labels else set(range(1, adm.n + 1))
         if labels != expected:
             raise GeometryError(
@@ -335,7 +336,7 @@ class FemSystem:
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
         self._lu = None
-        self._lifting = None
+        self._full = None       # the full map's interior solve: X, or (c, R, G)
 
     @property
     def lu(self):
@@ -344,42 +345,35 @@ class FemSystem:
             self._lu = splu(self.matrix[np.ix_(ii, ii)].tocsc())
         return self._lu
 
-    def lifting(self, positions=None) -> np.ndarray:
-        """X = A_II^-1 A_Ia on boundary `positions` (all when omitted), from
-        SuperLU; column q of -X is the harmonic extension of hat trace q.
-        Only meshes that are not row-separable need it."""
-        if positions is None and self._lifting is not None:
-            return self._lifting
-        bb = self.boundary if positions is None else self.boundary[positions]
-        return self.lu.solve(self.matrix[np.ix_(self.interior, bb)].toarray())
-
     def schur(self, positions=None) -> np.ndarray:
         """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
 
         With `positions` (indices into the boundary trace order) only the
         principal block on them is computed.  A row-separable strip mesh takes
         A_II^-1 on the boundary's ring neighbours from sine modes
-        (`_ring_gather`); any other mesh solves `lifting` and keeps a full one.
+        (`_ring_gather`); any other mesh solves A_II^-1 A_IB through SuperLU.
         """
         A = self.matrix
         bb = self.boundary if positions is None else self.boundary[positions]
         grid = _separable_grid(self.mesh)
         if grid is None:
-            X = self.lifting(positions)
+            X = self.lu.solve(A[np.ix_(self.interior, bb)].toarray())
             if positions is None:
-                self._lifting = X
+                self._full = X
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
         rows, cols = np.divmod(bb, grid.shape[1])
         c = _ring_couplings(A, grid, rows, cols)
         T, off = _mode_tridiagonal(A, grid)
         m = T.shape[1]
-        R = _ring_gather(_mode_green(T, off, [0, m - 1]),
-                         lambda: _mode_green(T, off, range(m)), rows, cols)
+        green = functools.cache(lambda: _mode_green(T, off, range(m)))
+        R = _ring_gather(_mode_green(T, off, [0, m - 1]), green, rows, cols)
+        if positions is None:
+            self._full = (c, R, green())
         return A[np.ix_(bb, bb)].toarray() - c[:, None] * R * c[None, :]
 
     def derivatives(self) -> list:
         """Derivatives d Lam / d gamma_j of the full Schur complement, one
-        per strip j = 1..N.
+        per strip j = 1..N, from the interior solve that `schur` kept.
 
         The stiffness is gamma_j K_j plus the other strips' terms, so on a
         row-separable strip mesh, with Lam = A_BB - c R c as in `schur`,
@@ -390,15 +384,16 @@ class FemSystem:
         only on strip j's node rows.  Any other mesh takes H^T K_j H with the
         lifting H = [I; -X], restricted to strip j's nodes.
         """
+        if self._full is None:
+            self.schur()
         parts = region_stiffness(self.mesh)
         strips = [parts[j] for j in range(1, self.adm.n + 1)]
         grid = _separable_grid(self.mesh)
+        bb = self.boundary
         if grid is None:
-            X = self.lifting()      # solved before H is allocated: a lower peak RSS
-            H = np.empty((self.mesh.n_nodes, X.shape[1]), dtype=complex)
-            H[self.boundary] = np.eye(X.shape[1])
-            H[self.interior] = -X
-            del X
+            H = np.empty((self.mesh.n_nodes, len(bb)), dtype=complex)
+            H[bb] = np.eye(len(bb))
+            H[self.interior] = -self._full
             out = []
             for K in strips:
                 nodes = np.flatnonzero(np.diff(K.indptr))
@@ -406,17 +401,9 @@ class FemSystem:
                 out.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
             return out
 
-        A, bb = self.matrix, self.boundary
+        c, R, G = self._full
         rows, cols = np.divmod(bb, grid.shape[1])
-        T, off = _mode_tridiagonal(A, grid)
-        m = T.shape[1]
-        G = _mode_green(T, off, range(m))
-
-        def gather(M):
-            return _ring_gather(M[:, :, [0, m - 1]], lambda: M, rows, cols)
-
-        c = _ring_couplings(A, grid, rows, cols)
-        R = gather(G)
+        m = G.shape[1]
         out = []
         for K in strips:
             Tj, offj = _mode_tridiagonal(K, grid)
@@ -427,8 +414,9 @@ class FemSystem:
             TG[:, :-1] += offj[lo:hi - 1, None] * G[:, lo + 1:hi]
             P = G[:, :, lo:hi] @ TG
             cj = _ring_couplings(K, grid, rows, cols)
+            PR = _ring_gather(P[:, :, [0, m - 1]], lambda: P, rows, cols)
             out.append(K[np.ix_(bb, bb)].toarray() - cj[:, None] * R * c[None, :]
-                       - c[:, None] * R * cj[None, :] + c[:, None] * gather(P) * c[None, :])
+                       - c[:, None] * R * cj[None, :] + c[:, None] * PR * c[None, :])
         return out
 
     def solve(self, trace, load=None) -> "FieldSolution":
@@ -483,9 +471,8 @@ def solve_real_system(mesh: Mesh, adm: Admittivity, f) -> "FieldSolution":
     system [[Ks, -Ke], [Ke, Ks]] on stacked real unknowns.
     """
     parts = region_stiffness(mesh)
-    labels = sorted(np.unique(mesh.tri_region).tolist())
-    Ks = sum(adm.value_for(lbl).real * parts[lbl] for lbl in labels)
-    Ke = sum(adm.value_for(lbl).imag * parts[lbl] for lbl in labels)
+    Ks = sum(adm.value_for(lbl).real * K for lbl, K in parts.items())
+    Ke = sum(adm.value_for(lbl).imag * K for lbl, K in parts.items())
     A = sp.bmat([[Ks, -Ke], [Ke, Ks]], format="csr")
 
     n = mesh.n_nodes

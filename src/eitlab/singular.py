@@ -143,7 +143,6 @@ class CorrectorSolver:
         self.adm = adm
         self.system = assemble(mesh, adm)
         self._qpts = tri7_points(mesh.tri_points())      # (nt, 7, 2)
-        self._elem_gamma = adm.element_values(mesh)
 
     def _check_placement(self, y: np.ndarray) -> None:
         mesh = self.mesh
@@ -192,7 +191,7 @@ class CorrectorSolver:
         # gtilde: coefficient minus its two-phase approximation
         cen = mesh.centroids()
         approx = np.where(cen[:, 1] > iface_y, coeffs.gamma_plus, coeffs.gamma_minus)
-        gtilde = self._elem_gamma - approx
+        gtilde = adm.element_values(mesh) - approx
 
         b = np.zeros(mesh.n_nodes, dtype=complex)
         active = np.abs(gtilde) > 0

@@ -373,10 +373,14 @@ def _jacobian(L: np.ndarray, cols) -> np.ndarray:
 
 
 def _gram_and_chol(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Order-1/2 boundary Gram matrix and its lower Cholesky factor."""
-    M, B = boundary_operators(mesh)
-    gram_half = h_half_gram(M, B, 0.5)
-    return gram_half, sla.cholesky(gram_half, lower=True)
+    """Order-1/2 boundary Gram matrix and its lower Cholesky factor, formed
+    once per mesh and read-only."""
+    if "gram_and_chol" not in mesh._cache:
+        W = h_half_gram(*boundary_operators(mesh), 0.5)
+        L = sla.cholesky(W, lower=True)
+        W.flags.writeable = L.flags.writeable = False
+        mesh._cache["gram_and_chol"] = W, L
+    return mesh._cache["gram_and_chol"]
 
 
 @dataclass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eitlab.cli as cli
-from eitlab import forward
+from eitlab import dtn, forward, stability
 from eitlab.forward import FemSystem
 
 
@@ -453,7 +453,8 @@ def test_reconstruct_noise_past_lambda_stays_admissible(tmp_path, capsys):
 
 def _reconstruct_counts(tmp_path, monkeypatch, config):
     """Run a reconstruct config; return its factorization count, its count
-    of derivative-column builds and the result of each Gauss-Newton run."""
+    of derivative-column builds, the result of each Gauss-Newton run and its
+    count of boundary Gram builds."""
     factorizations = []
     splu = forward.splu
 
@@ -474,9 +475,14 @@ def _reconstruct_counts(tmp_path, monkeypatch, config):
     monkeypatch.setattr(FemSystem, "derivatives",
                         lambda system: builds.append(system) or derivatives(system))
     monkeypatch.setattr(cli, "gauss_newton_reconstruct", traced)
+    grams = []
+    gram = dtn.h_half_gram
+    for module in (dtn, stability):
+        monkeypatch.setattr(module, "h_half_gram",
+                            lambda *args: grams.append(args) or gram(*args))
     cfg = write_config(tmp_path, config)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    return len(factorizations), len(builds), runs
+    return len(factorizations), len(builds), runs, len(grams)
 
 
 def _steps(res, max_iter):
@@ -491,17 +497,19 @@ def test_reconstruct_factorizes_the_truth_once(tmp_path, monkeypatch):
     # iterate that computes a step build derivative columns, once each
     config = _SMOKE["reconstruct"]
     max_iter = config["params"]["max_iter"]
-    count, builds, runs = _reconstruct_counts(tmp_path, monkeypatch, config)
+    count, builds, runs, grams = _reconstruct_counts(tmp_path, monkeypatch, config)
     assert len(runs) == 2
     assert runs[0].converged                       # its last build forms nothing
     assert not runs[1].converged and runs[1].iterations < max_iter   # a vanishing step
     assert count == 0
     assert builds == 1 + sum(_steps(r, max_iter) for r in runs)
+    # the truth's Jacobian and both Gauss-Newton runs share one boundary Gram
+    assert grams == 1
 
 
 def test_reconstruct_without_noise_forms_no_truth_lifting(tmp_path, monkeypatch):
     config = dict(_SMOKE["reconstruct"], params={"max_iter": 8})
-    count, builds, runs = _reconstruct_counts(tmp_path, monkeypatch, config)
+    count, builds, runs, _ = _reconstruct_counts(tmp_path, monkeypatch, config)
     assert len(runs) == 1 and runs[0].converged
     assert count == 0
     assert builds == len(runs[0].history) - 1
@@ -517,7 +525,7 @@ def test_reconstruct_fallback_factorizes_each_build_once(tmp_path, monkeypatch, 
     # factorize once for Lam, and the derivative columns reuse that lifting
     config = _FALLBACK if noise else dict(_FALLBACK, params={})
     max_iter = 30                                  # the CLI default
-    count, builds, runs = _reconstruct_counts(tmp_path, monkeypatch, config)
+    count, builds, runs, _ = _reconstruct_counts(tmp_path, monkeypatch, config)
     assert len(runs) == (2 if noise else 1)
     assert count == 1 + sum(len(r.history) for r in runs)
     truth = 1 if noise else 0                      # the noise direction's Jacobian

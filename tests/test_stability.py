@@ -248,6 +248,41 @@ def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch,
         assert np.abs(c - r).max() <= 1e-12 * np.abs(r).max()
 
 
+@pytest.mark.parametrize("with_extension", [False, True])
+def test_strip_derivatives_read_the_green_functions_schur_kept(monkeypatch, with_extension):
+    # a full map forms every mode's Green function G_k = T_k^-1 once and the
+    # derivative columns read it; a bottom-edge arc forms only its end columns
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    assert _separable_grid(m) is not None
+    alone = assemble(m, a).derivatives()
+    all_columns = []
+    green = forward._mode_green
+    monkeypatch.setattr(forward, "_mode_green", lambda diag, off, columns: (
+        all_columns.append(len(columns) == diag.shape[1]) or green(diag, off, columns)))
+    system = assemble(m, a)
+    system.schur()
+    cols = system.derivatives()
+    assert all_columns.count(True) == 1
+    assert len(cols) == len(alone) == 3
+    for c, ref in zip(cols, alone):
+        assert np.array_equal(c, ref)
+    all_columns.clear()
+    y = m.nodes[m.boundary_nodes, 1]
+    dtn_matrix(m, a, arc=np.arange(int(np.sum(y == y.min()))))
+    assert all_columns == [False]
+
+
+def test_boundary_gram_is_formed_once_per_mesh_and_read_only():
+    m = el.generate_mesh(el.build_partition(2), 1 / 16)
+    first = sensitivity_jacobian(m, Admittivity([1.2 + 0.3j, 1.9 - 0.5j]))
+    second = sensitivity_jacobian(m, Admittivity([1.0, 2.0]))
+    assert first.gram_half is second.gram_half and first.chol is second.chol
+    for shared in (first.gram_half, first.chol):
+        with pytest.raises(ValueError):
+            shared[0, 0] = 0.0
+
+
 def test_each_build_solves_each_boundary_column_once(monkeypatch):
     # h = 1/30 is not row-separable: the derivative columns reuse the
     # SuperLU lifting that the Schur complement solved
