@@ -16,7 +16,6 @@ and the one number format every CSV writer uses.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -552,38 +551,87 @@ def _rows(a: np.ndarray, block: int = 256):
         yield from a[start:start + block].tolist()
 
 
-def _mesh_text(mesh: Mesh) -> str:
-    out = io.StringIO()
-    be = mesh.boundary_edges
-    out.write(f"mesh v1 {mesh.n_nodes} {mesh.n_triangles} {len(be)}\n")
-    for x, y in _rows(mesh.nodes):
-        out.write(f"{_fmt(x)} {_fmt(y)}\n")
-    for (i, j, k), reg in zip(_rows(mesh.triangles), _rows(mesh.tri_region)):
-        out.write(f"{i} {j} {k} {reg}\n")
-    for i, j in _rows(be):
-        out.write(f"{i} {j}\n")
-    return out.getvalue()
-
-
 def write_mesh(mesh: Mesh, path) -> None:
+    be = mesh.boundary_edges
     with _open_new(path) as f:
-        f.write(_mesh_text(mesh))
+        f.write(f"mesh v1 {mesh.n_nodes} {mesh.n_triangles} {len(be)}\n")
+        for x, y in _rows(mesh.nodes):
+            f.write(f"{_fmt(x)} {_fmt(y)}\n")
+        for (i, j, k), reg in zip(_rows(mesh.triangles), _rows(mesh.tri_region)):
+            f.write(f"{i} {j} {k} {reg}\n")
+        for i, j in _rows(be):
+            f.write(f"{i} {j}\n")
+
+
+def _read_block(f, count: int, width: int, dtype, what: str) -> np.ndarray:
+    """The next `count` lines of `width` numbers each, as a (count, width) array."""
+    parse = float if dtype is np.float64 else int
+    rows = []
+    for n in range(1, count + 1):
+        line = f.readline()
+        fields = line.split()
+        if len(fields) != width:
+            got = "the file ends" if not line else f"got {len(fields)}"
+            raise InvalidSpecError(f"mesh {what} line {n} of {count}: "
+                                   f"expected {width} numbers, {got}")
+        try:
+            rows.append([parse(v) for v in fields])
+        except ValueError:
+            raise InvalidSpecError(f"mesh {what} line {n} of {count}: "
+                                   f"{line.strip()!r} is not {width} numbers") from None
+    try:
+        return np.array(rows, dtype=dtype)
+    except OverflowError:
+        raise InvalidSpecError(f"mesh {what} lines hold an integer beyond int64") from None
 
 
 def read_mesh(path) -> Mesh:
+    """Read a `write_mesh` file; a malformed one raises InvalidSpecError.
+
+    Rejected: a wrong header, a short or missing line, a field that is not a
+    number, a non-finite coordinate, a node index outside the node list, a
+    triangle of zero area and boundary edges that are not one closed loop.
+    """
     with open(path, "r", encoding="ascii") as f:
         header = f.readline().split()
-        if len(header) != 5 or header[0] != "mesh" or header[1] != "v1":
+        if (len(header) != 5 or header[:2] != ["mesh", "v1"]
+                or not all(v.isdigit() and int(v) > 0 for v in header[2:])):
             raise InvalidSpecError(f"unrecognized mesh header {' '.join(header)!r}")
         nn, nt, nb = (int(v) for v in header[2:])
-        nodes = np.array([[float(v) for v in f.readline().split()] for _ in range(nn)])
-        rows = np.array([[int(v) for v in f.readline().split()] for _ in range(nt)])
-        bedges = np.array([[int(v) for v in f.readline().split()] for _ in range(nb)])
-    edge_len = np.linalg.norm(nodes[bedges[:, 0]] - nodes[bedges[:, 1]], axis=1)
-    return Mesh(nodes=nodes, triangles=_orient_ccw(nodes, rows[:, :3]),
-                tri_region=rows[:, 3], boundary_nodes=bedges[:, 0], interface_edges={},
+        nodes = _read_block(f, nn, 2, np.float64, "node")
+        rows = _read_block(f, nt, 4, np.int64, "triangle")
+        bedges = _read_block(f, nb, 2, np.int64, "boundary edge")
+    bad = np.nonzero(~np.isfinite(nodes).all(axis=1))[0]
+    if len(bad):
+        raise InvalidSpecError(f"mesh node {bad[0]} has a non-finite coordinate")
+    tris = rows[:, :3]
+    for what, idx in (("triangle", tris), ("boundary edge", bedges)):
+        bad = np.nonzero(((idx < 0) | (idx >= nn)).any(axis=1))[0]
+        if len(bad):
+            raise InvalidSpecError(f"mesh {what} {bad[0]} names a node outside 0..{nn - 1}")
+    bad = np.nonzero(_signed_areas(nodes[tris]) == 0)[0]
+    if len(bad):
+        raise InvalidSpecError(f"mesh triangle {bad[0]} has zero area")
+    loop = bedges[:, 0]
+    if (nb < 3 or len(np.unique(loop)) != nb
+            or not np.array_equal(bedges[:, 1], np.roll(loop, -1))):
+        raise InvalidSpecError("mesh boundary edges do not form one closed loop")
+    edge_len = np.linalg.norm(nodes[loop] - nodes[bedges[:, 1]], axis=1)
+    return Mesh(nodes=nodes, triangles=_orient_ccw(nodes, tris),
+                tri_region=rows[:, 3], boundary_nodes=loop, interface_edges={},
                 h=float(edge_len.min()))
 
 
 def mesh_hash(mesh: Mesh) -> str:
-    return hashlib.sha256(_mesh_text(mesh).encode("ascii")).hexdigest()
+    """SHA-256 over the nodes, triangles, region labels and boundary loop.
+
+    A count tag, then each array's bytes: nodes as little-endian float64, the
+    rest as little-endian int64.  A mesh and its `write_mesh`/`read_mesh`
+    round trip hash alike.  Not cached: mesh arrays are mutable.
+    """
+    digest = hashlib.sha256(f"mesh v2 {mesh.n_nodes} {mesh.n_triangles} "
+                            f"{len(mesh.boundary_nodes)}\n".encode("ascii"))
+    for a, dtype in ((mesh.nodes, "<f8"), (mesh.triangles, "<i8"),
+                     (mesh.tri_region, "<i8"), (mesh.boundary_nodes, "<i8")):
+        digest.update(np.ascontiguousarray(a, dtype=dtype))
+    return digest.hexdigest()

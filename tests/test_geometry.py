@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,79 @@ def test_read_mesh_orients_clockwise_triangles(tmp_path):
     u = el.solve_dirichlet(m, adm, lambda x, y: x + 1j * y)
     v = el.solve_dirichlet(flipped, adm, lambda x, y: x + 1j * y)
     assert np.allclose(v.values, u.values, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: el.generate_mesh(el.build_partition(3), 1 / 16),
+    lambda: el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 30),
+    lambda: el.generate_mesh(el.build_partition(2, rect=(0.3, -0.7, 1.9, 0.5)), 1 / 16),
+    lambda: el.generate_disk_mesh(0.1, radius=1.3, center=(0.2, -0.1)),
+], ids=["strip", "extension-h30", "offset", "disk"])
+def test_mesh_hash_survives_the_file_round_trip(tmp_path, make):
+    m = make()
+    write_mesh(m, tmp_path / "mesh.txt")
+    assert mesh_hash(read_mesh(tmp_path / "mesh.txt")) == mesh_hash(m)
+
+
+def test_mesh_hash_sees_every_array_but_not_the_index_dtype():
+    m = el.generate_mesh(el.build_partition(2), 1 / 8)
+    base = mesh_hash(m)
+
+    def changed(**arrays):
+        return mesh_hash(dataclasses.replace(m, **arrays))
+
+    nodes = m.nodes.copy()
+    nodes[10, 0] = np.nextafter(nodes[10, 0], np.inf)
+    regions = m.tri_region.copy()
+    regions[5] += 1
+    tris = m.triangles.copy()
+    tris[3] = np.roll(tris[3], 1)                    # same triangle, same orientation
+    for arrays in (dict(nodes=nodes), dict(tri_region=regions), dict(triangles=tris),
+                   dict(boundary_nodes=np.roll(m.boundary_nodes, 1))):
+        assert changed(**arrays) != base
+    assert changed(triangles=m.triangles.astype(np.int32)) == base
+
+
+def test_mesh_hash_is_pinned():
+    # the hash labels manifests and DtN exports; changing its format is a
+    # deliberate act that must update this value
+    m = el.generate_mesh(el.build_partition(2), 1 / 8)
+    assert mesh_hash(m) == "503134949a1a7af48e50e56176193789b5a9aaec29319dc0d65a74bc7a488752"
+
+
+N_NODES = 81      # nodes of the 2-strip h = 1/8 mesh the next test edits
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (4, "nan 0.0", "mesh node 3 has a non-finite coordinate"),
+    (4, "0.5 inf", "mesh node 3 has a non-finite coordinate"),
+    (1 + N_NODES + 2, "0 1 81 1", r"mesh triangle 2 names a node outside 0\.\.80"),
+    (1 + N_NODES, "-1 1 9 1", "mesh triangle 0 names a node outside"),
+    (-1, "84 0", "mesh boundary edge 31 names a node outside"),
+    (-5, None, "mesh boundary edge line 28 of 32: expected 2 numbers, the file ends"),
+    (3, "0.25", "mesh node line 3 of 81: expected 2 numbers, got 1"),
+    (1 + N_NODES, "0 1 x 1", "is not 4 numbers"),
+    (1 + N_NODES, "0 1 10 99999999999999999999", "beyond int64"),
+    (1 + N_NODES + 1, "0 1 2 1", "mesh triangle 1 has zero area"),   # on the bottom row
+    (0, "mesh v1 0 0 0", "unrecognized mesh header"),
+    (-1, "9 1", "mesh boundary edges do not form one closed loop"),
+    (-2, "9 9", "mesh boundary edges do not form one closed loop"),
+], ids=["nan", "inf", "triangle-index", "negative-index", "boundary-index", "truncated",
+        "short-line", "not-a-number", "huge-label", "zero-area", "empty-header",
+        "open-loop", "repeated-boundary-node"])
+def test_read_mesh_rejects_a_malformed_file(tmp_path, line, text, message):
+    m = el.generate_mesh(el.build_partition(2), 1 / 8)
+    assert m.n_nodes == N_NODES
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    lines = path.read_text().splitlines()
+    if text is None:            # the file stops short
+        del lines[line:]
+    else:
+        lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidSpecError, match=message):
+        read_mesh(path)
 
 
 def test_chain_set_column():
