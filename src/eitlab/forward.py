@@ -7,9 +7,10 @@ region value, and the global matrix is an affine combination of per-region
 real matrices.  Systems are complex symmetric (plain transpose) and solved by
 sparse LU on the interior block.  `FemSystem` alone chooses the back end of
 its boundary Schur complement and of that complement's derivatives in the
-strip values: sine modes on an exactly row-separable strip mesh (no
-factorization), else SuperLU.  Either way a full map keeps its interior
-solve on the system, and the derivatives read it.
+strip values, from how the mesh was built: sine modes on a `generate_mesh`
+strip mesh (no factorization), SuperLU on a disk or `read_mesh` mesh.
+Either way a full map keeps its interior solve on the system, and the
+derivatives read it.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -194,24 +195,17 @@ def _row_coefficients(K, grid: np.ndarray):
 
 
 def _separable_grid(mesh: Mesh) -> np.ndarray | None:
-    """Row-major node grid of a `generate_mesh` mesh whose interior stiffness
-    is exactly row-separable, else None; checked once per mesh.
+    """Row-major node grid of a `generate_mesh` mesh, else None.
 
-    Every region stiffness must be symmetric and equal, entry for entry on
-    the interior rows, to the 5-point stencil rebuilt from its own row
-    coefficients.  Then so is every complex combination of them: the
-    interior block is a Kronecker sum, and each boundary node couples to the
-    interior only through its neighbour on the ring of interior nodes next
-    to the boundary.  Where the node columns are not evenly spaced in
-    floating point (h = 1/30, an offset rectangle), rounding in the node
-    coordinates breaks the equality.
+    Such a mesh carries a partition, and its interior nodes are
+    `grid[1:-1, 1:-1]`.  Each cell is split into two right triangles, so in
+    exact arithmetic every region stiffness couples no diagonal neighbours
+    and is constant along each node row: the interior block is a Kronecker
+    sum, and each boundary node couples to the interior only through its
+    neighbour on the ring of interior nodes next to the boundary.  The rows
+    are read at column 1; where the node columns are not evenly spaced in
+    floating point (h = 1/30), the other columns differ in their last bits.
     """
-    if "separable_grid" not in mesh._cache:
-        mesh._cache["separable_grid"] = _find_separable_grid(mesh)
-    return mesh._cache["separable_grid"]
-
-
-def _find_separable_grid(mesh: Mesh) -> np.ndarray | None:
     if mesh.partition is None:
         return None
     y = mesh.nodes[:, 1]
@@ -219,18 +213,8 @@ def _find_separable_grid(mesh: Mesh) -> np.ndarray | None:
     if width < 3 or mesh.n_nodes % width:
         return None
     grid = np.arange(mesh.n_nodes).reshape(-1, width)
-    inner = grid[1:-1, 1:-1].ravel()
-    if not np.array_equal(mesh.interior_nodes(), inner):
+    if not np.array_equal(mesh.interior_nodes(), grid[1:-1, 1:-1].ravel()):
         return None
-    r = np.repeat(np.arange(grid.shape[0] - 2), width - 2)
-    rows = np.tile(np.arange(len(inner)), 5)
-    cols = np.concatenate([inner, inner - 1, inner + 1, inner - width, inner + width])
-    for K in region_stiffness(mesh).values():
-        diag, horiz, vert = _row_coefficients(K, grid)
-        vals = np.concatenate([diag[r], horiz[r], horiz[r], vert[r], vert[r + 1]])
-        stencil = sp.csr_matrix((vals, (rows, cols)), shape=(len(inner), mesh.n_nodes))
-        if (K[inner] - stencil).count_nonzero() or (K - K.T).count_nonzero():
-            return None
     return grid
 
 
@@ -335,6 +319,7 @@ class FemSystem:
         self.matrix = stiffness(mesh, adm)
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
+        self._grid = _separable_grid(mesh)      # None: SuperLU
         self._lu = None
         self._full = None       # the full map's interior solve: X, or (c, R, G)
 
@@ -349,13 +334,13 @@ class FemSystem:
         """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
 
         With `positions` (indices into the boundary trace order) only the
-        principal block on them is computed.  A row-separable strip mesh takes
-        A_II^-1 on the boundary's ring neighbours from sine modes
+        principal block on them is computed.  A `generate_mesh` strip mesh
+        takes A_II^-1 on the boundary's ring neighbours from sine modes
         (`_ring_gather`); any other mesh solves A_II^-1 A_IB through SuperLU.
         """
         A = self.matrix
         bb = self.boundary if positions is None else self.boundary[positions]
-        grid = _separable_grid(self.mesh)
+        grid = self._grid
         if grid is None:
             X = self.lu.solve(A[np.ix_(self.interior, bb)].toarray())
             if positions is None:
@@ -376,7 +361,7 @@ class FemSystem:
         per strip j = 1..N, from the interior solve that `schur` kept.
 
         The stiffness is gamma_j K_j plus the other strips' terms, so on a
-        row-separable strip mesh, with Lam = A_BB - c R c as in `schur`,
+        `generate_mesh` strip mesh, with Lam = A_BB - c R c as in `schur`,
         d Lam / d gamma_j = K_j,BB - c_j R c - c R c_j + c P_j c, where c_j
         are K_j's ring couplings and P_j = A_II^-1 K_j A_II^-1 on the ring.
         Each K_j is its own row stencil, so mode k carries
@@ -388,7 +373,7 @@ class FemSystem:
             self.schur()
         parts = region_stiffness(self.mesh)
         strips = [parts[j] for j in range(1, self.adm.n + 1)]
-        grid = _separable_grid(self.mesh)
+        grid = self._grid
         bb = self.boundary
         if grid is None:
             H = np.empty((self.mesh.n_nodes, len(bb)), dtype=complex)

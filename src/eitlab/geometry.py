@@ -385,7 +385,9 @@ def generate_mesh(p: Partition, h: float) -> Mesh:
     Each strip is subdivided into ceil(thickness/h) node rows, so every
     interface line is a row of nodes and conformity holds by construction.
     When h divides the strip thickness exactly, halving h doubles every
-    subdivision count and the refined node set nests the coarse one.
+    subdivision count and the refined node set nests the coarse one.  An h
+    that leaves one cell across or one cell down, and so no interior node,
+    raises TooCoarseError.
     """
     if not (h > 0):
         raise InvalidSpecError(f"mesh size must be positive, got {h}")
@@ -402,6 +404,10 @@ def generate_mesh(p: Partition, h: float) -> Mesh:
         raise InvalidSpecError(too_many)
     nx = _subdivisions(dom.width, h)
     row_counts = [_subdivisions(r.thickness, h) for r in strips]
+    if nx < 2 or sum(row_counts) < 2:
+        # one cell across or one cell down leaves no interior node
+        raise TooCoarseError(f"mesh size {h} leaves no interior node in the "
+                             f"{dom.width} x {dom.height} domain")
     if (nx + 1) * (sum(row_counts) + 1) > MAX_MESH_NODES:
         raise InvalidSpecError(too_many)
     xs = np.linspace(dom.x0, dom.x1, nx + 1)

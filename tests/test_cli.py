@@ -334,6 +334,7 @@ def _with(base, path, value):
     (BASE_FORWARD, ("version",), True),
     (_S_RATE, ("admittivity_2", "values"), [[1, 0], [2, 1]]),
     (BASE_FORWARD, ("mesh", "h"), 1e-9),
+    (BASE_FORWARD, ("partition", "rect"), [0, 0, 0.05, 1]),
 ], ids=["nan-admittivity", "inf-lambda", "radius-not-a-number",
         "no-such-link", "radius-beyond-r0", "strip-count-mismatch",
         "s-rate-no-radii", "s-rate-negative-radius", "s-rate-zero-rho0",
@@ -346,7 +347,7 @@ def _with(base, path, value):
         "sweep-mixed-strip-counts", "experiment-not-a-string", "out-dir-not-a-string",
         "admittivities-not-a-list", "negative-seed", "unrepresentable-mesh-size",
         "constant-bound-huge-dim", "constant-bound-outside-branch", "version-true",
-        "s-rate-zero-jump", "mesh-too-many-nodes"])
+        "s-rate-zero-jump", "mesh-too-many-nodes", "mesh-one-cell-wide"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, recwarn, base, path,
                                               value):
     cfg = _with(base, path, value)
@@ -516,17 +517,17 @@ def test_reconstruct_without_noise_forms_no_truth_lifting(tmp_path, monkeypatch)
 
 
 _FALLBACK = json.loads((Path(__file__).resolve().parents[1] / "demos" / "configs"
-                        / "reconstruct_fallback.json").read_text(encoding="utf-8"))
+                        / "reconstruct_h30.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
 def test_reconstruct_fallback_factorizes_each_build_once(tmp_path, monkeypatch, noise):
-    # h = 1/30 is not row-separable: the truth and every Gauss-Newton build
-    # factorize once for Lam, and the derivative columns reuse that lifting
+    # h = 1/30 leaves the node columns unevenly spaced in floating point, and
+    # still no build factorizes: every mesh the CLI builds takes sine modes
     config = _FALLBACK if noise else dict(_FALLBACK, params={})
     max_iter = 30                                  # the CLI default
     count, builds, runs, _ = _reconstruct_counts(tmp_path, monkeypatch, config)
     assert len(runs) == (2 if noise else 1)
-    assert count == 1 + sum(len(r.history) for r in runs)
+    assert count == 0
     truth = 1 if noise else 0                      # the noise direction's Jacobian
     assert builds == truth + sum(_steps(r, max_iter) for r in runs)

@@ -199,11 +199,8 @@ def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
-@pytest.mark.parametrize("with_extension", [False, True])
-def test_strip_dtn_matches_superlu_oracle_without_factorizing(monkeypatch, h, with_extension):
-    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
-    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+def test_strip_dtn_matches_superlu_oracle_without_factorizing(monkeypatch, strip_mesh):
+    m, a = strip_mesh
     assert _separable_grid(m) is not None
     nb = len(m.boundary_nodes)
     calls = _count_factorizations(monkeypatch)
@@ -222,18 +219,13 @@ def _read_back(tmp_path):
 
 _NOT_SEPARABLE = {
     "disk": lambda tmp_path: el.generate_disk_mesh(1 / 32),
-    "h-1/30": lambda tmp_path: el.generate_mesh(el.build_partition(3), 1 / 30),
-    "offset-rect": lambda tmp_path: el.generate_mesh(
-        el.build_partition(3, rect=(0.1, -0.2, 2.0, 1.1)), 1 / 16),
     "read-back": _read_back,
 }
 
 
 @pytest.mark.parametrize("kind", list(_NOT_SEPARABLE))
 def test_superlu_serves_meshes_that_are_not_row_separable(tmp_path, monkeypatch, kind):
-    # node columns that are not evenly spaced in floating point leave the
-    # stiffness rows unequal in their last bits; disks and read-back meshes
-    # carry no partition
+    # disks and read-back meshes carry no partition
     m = _NOT_SEPARABLE[kind](tmp_path)
     a = Admittivity([1.3 - 0.4j] if kind == "disk" else [1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     assert _separable_grid(m) is None

@@ -102,6 +102,11 @@ def test_too_coarse():
         el.generate_mesh(p, 0.6)
     with pytest.raises(TooCoarseError):
         el.generate_mesh(p, 0.5)   # h equal to the strip thickness
+    # one cell across, or one cell down: no interior node
+    with pytest.raises(TooCoarseError, match="no interior node"):
+        el.generate_mesh(el.build_partition(2, rect=(0.0, 0.0, 0.05, 1.0)), 0.1)
+    with pytest.raises(TooCoarseError, match="no interior node"):
+        el.generate_mesh(el.build_partition(1, rect=(0.0, 0.0, 4.0, 1.0)), 1 / (1 + 5e-10))
     with pytest.raises(InvalidSpecError):
         el.generate_mesh(p, 0.0)
 

@@ -209,18 +209,28 @@ def _superlu_columns(mesh, adm, labels):
     return [H.T @ (region_stiffness(mesh)[lbl] @ H) for lbl in labels]
 
 
-@pytest.mark.parametrize("with_extension, h", [
-    pytest.param(False, 1 / 64, id="False"),
-    pytest.param(True, 1 / 64, id="True"),
-    # not row-separable: Lam and the columns come from the one SuperLU lifting
-    pytest.param(False, 1 / 30, id="h-1/30"),
+def _read_back(tmp_path, mesh):
+    """The `write_mesh`/`read_mesh` round trip of `mesh`: the same nodes,
+    triangles and region labels, and no partition, so SuperLU serves it."""
+    path = tmp_path / "mesh.txt"
+    el.write_mesh(mesh, path)
+    return el.read_mesh(path)
+
+
+@pytest.mark.parametrize("with_extension, h, read_back", [
+    pytest.param(False, 1 / 64, False, id="False"),
+    pytest.param(True, 1 / 64, False, id="True"),
+    # read back: Lam and the columns come from the one SuperLU lifting
+    pytest.param(False, 1 / 30, True, id="h-1/30"),
 ])
-def test_sensitivity_columns_satisfy_euler_identity(with_extension, h):
+def test_sensitivity_columns_satisfy_euler_identity(tmp_path, with_extension, h, read_back):
     # Lam is homogeneous of degree 1 in all region values, so
     # sum_j gamma_j dLam/dgamma_j plus the term of the extension strip,
     # whose value is fixed at 1, gives back the Schur complement; on a strip
     # mesh both the columns and Lam come from sine modes
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
+    if read_back:
+        m = _read_back(tmp_path, m)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     lam = dtn_matrix(m, a).matrix
     total = sum(g * c for g, c in zip(a.values, sensitivity_jacobian(m, a).columns))
@@ -229,12 +239,8 @@ def test_sensitivity_columns_satisfy_euler_identity(with_extension, h):
     assert np.abs(total - lam).max() <= 1e-12 * np.abs(lam).max()
 
 
-@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
-@pytest.mark.parametrize("with_extension", [False, True])
-def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch, h,
-                                                                     with_extension):
-    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
-    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch, strip_mesh):
+    m, a = strip_mesh
     assert _separable_grid(m) is not None
     factorizations = []
     factorize = forward.splu
@@ -242,7 +248,7 @@ def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch,
                         lambda A: factorizations.append(A.shape) or factorize(A))
     cols = assemble(m, a).derivatives()
     assert factorizations == []
-    ref = _superlu_columns(m, a, [1, 2, 3])
+    ref = _superlu_columns(m, a, range(1, a.n + 1))
     assert len(cols) == len(ref)
     for c, r in zip(cols, ref):
         assert np.abs(c - r).max() <= 1e-12 * np.abs(r).max()
@@ -283,10 +289,10 @@ def test_boundary_gram_is_formed_once_per_mesh_and_read_only():
             shared[0, 0] = 0.0
 
 
-def test_each_build_solves_each_boundary_column_once(monkeypatch):
-    # h = 1/30 is not row-separable: the derivative columns reuse the
-    # SuperLU lifting that the Schur complement solved
-    m = el.generate_mesh(el.build_partition(3), 1 / 30)
+def test_each_build_solves_each_boundary_column_once(tmp_path, monkeypatch):
+    # a read-back mesh takes SuperLU: the derivative columns reuse the
+    # lifting that the Schur complement solved
+    m = _read_back(tmp_path, el.generate_mesh(el.build_partition(3), 1 / 30))
     truth = Admittivity([1.2, 1.0 + 0.7j, 2.0 - 0.3j])
     target = dtn_matrix(m, truth).matrix
     factorize = FemSystem.lu.fget
