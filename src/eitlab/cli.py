@@ -253,9 +253,8 @@ def _arc_positions(scn: Scenario, which: str) -> np.ndarray | None:
     if which == "full":
         return None
     if which == "bottom":
-        nx = int(np.sum(np.abs(scn.mesh.nodes[scn.mesh.boundary_nodes, 1]
-                               - scn.partition.domain.y0) < 1e-12))
-        return np.arange(0, nx)
+        # the trace order starts with the bottom row of the node grid
+        return np.arange(scn.mesh.grid.shape[1])
     raise ValidationError(f"config.params.arc: expected 'full' or 'bottom', got {which!r}")
 
 
@@ -530,7 +529,10 @@ def run_scenario(config_path, out_dir=None, seed=None, threads: int = 1) -> Path
 
     out = Path(out_dir) if out_dir is not None else \
         Path(scn.out_dir) if scn.out_dir else Path(f"runs/{path.stem}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory: {exc}") from exc
 
     runner = EXPERIMENTS[scn.experiment][0]
     try:

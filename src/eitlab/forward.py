@@ -7,8 +7,9 @@ region value, and the global matrix is an affine combination of per-region
 real matrices.  Systems are complex symmetric (plain transpose) and solved by
 sparse LU on the interior block.  `FemSystem` alone chooses the back end of
 its boundary Schur complement and of that complement's derivatives in the
-strip values, from how the mesh was built: sine modes on a `generate_mesh`
-strip mesh (no factorization), SuperLU on a disk or `read_mesh` mesh.
+strip values, from how the mesh was built: sine modes exactly when the mesh
+records its node grid (`Mesh.grid`, which only `generate_mesh` sets), with no
+factorization, and SuperLU on a disk, `read_mesh` or hand-built mesh.
 Either way a full map keeps its interior solve on the system, and the
 derivatives read it.
 
@@ -194,30 +195,6 @@ def _row_coefficients(K, grid: np.ndarray):
     return at(col[1:-1], col[1:-1]), at(col[1:-1], grid[1:-1, 0]), at(col[:-1], col[1:])
 
 
-def _separable_grid(mesh: Mesh) -> np.ndarray | None:
-    """Row-major node grid of a `generate_mesh` mesh, else None.
-
-    Such a mesh carries a partition, and its interior nodes are
-    `grid[1:-1, 1:-1]`.  Each cell is split into two right triangles, so in
-    exact arithmetic every region stiffness couples no diagonal neighbours
-    and is constant along each node row: the interior block is a Kronecker
-    sum, and each boundary node couples to the interior only through its
-    neighbour on the ring of interior nodes next to the boundary.  The rows
-    are read at column 1; where the node columns are not evenly spaced in
-    floating point (h = 1/30), the other columns differ in their last bits.
-    """
-    if mesh.partition is None:
-        return None
-    y = mesh.nodes[:, 1]
-    width = int(np.argmax(y != y[0]))
-    if width < 3 or mesh.n_nodes % width:
-        return None
-    grid = np.arange(mesh.n_nodes).reshape(-1, width)
-    if not np.array_equal(mesh.interior_nodes(), grid[1:-1, 1:-1].ravel()):
-        return None
-    return grid
-
-
 def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
     """Columns of the inverse of every tridiagonal T_k, one Thomas sweep per
     column, vectorized over the modes k.
@@ -319,7 +296,6 @@ class FemSystem:
         self.matrix = stiffness(mesh, adm)
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
-        self._grid = _separable_grid(mesh)      # None: SuperLU
         self._lu = None
         self._full = None       # the full map's interior solve: X, or (c, R, G)
 
@@ -334,13 +310,22 @@ class FemSystem:
         """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
 
         With `positions` (indices into the boundary trace order) only the
-        principal block on them is computed.  A `generate_mesh` strip mesh
-        takes A_II^-1 on the boundary's ring neighbours from sine modes
-        (`_ring_gather`); any other mesh solves A_II^-1 A_IB through SuperLU.
+        principal block on them is computed.  A mesh with a node grid
+        (`Mesh.grid`, set by `generate_mesh`) takes A_II^-1 on the boundary's
+        ring neighbours from sine modes (`_ring_gather`): its interior nodes
+        are `grid[1:-1, 1:-1]`, and each cell is split into two right
+        triangles, so in exact arithmetic every region stiffness couples no
+        diagonal neighbours and is constant along each node row.  The
+        interior block is then a Kronecker sum, and each boundary node
+        couples to the interior only through its neighbour on the ring of
+        interior nodes next to the boundary.  The rows are read at column 1;
+        where the node columns are not evenly spaced in floating point
+        (h = 1/30), the other columns differ in their last bits.  Any other
+        mesh solves A_II^-1 A_IB through SuperLU.
         """
         A = self.matrix
         bb = self.boundary if positions is None else self.boundary[positions]
-        grid = self._grid
+        grid = self.mesh.grid       # None: SuperLU
         if grid is None:
             X = self.lu.solve(A[np.ix_(self.interior, bb)].toarray())
             if positions is None:
@@ -361,7 +346,7 @@ class FemSystem:
         per strip j = 1..N, from the interior solve that `schur` kept.
 
         The stiffness is gamma_j K_j plus the other strips' terms, so on a
-        `generate_mesh` strip mesh, with Lam = A_BB - c R c as in `schur`,
+        mesh with a node grid, with Lam = A_BB - c R c as in `schur`,
         d Lam / d gamma_j = K_j,BB - c_j R c - c R c_j + c P_j c, where c_j
         are K_j's ring couplings and P_j = A_II^-1 K_j A_II^-1 on the ring.
         Each K_j is its own row stencil, so mode k carries
@@ -373,7 +358,7 @@ class FemSystem:
             self.schur()
         parts = region_stiffness(self.mesh)
         strips = [parts[j] for j in range(1, self.adm.n + 1)]
-        grid = self._grid
+        grid = self.mesh.grid       # None: SuperLU
         bb = self.boundary
         if grid is None:
             H = np.empty((self.mesh.n_nodes, len(bb)), dtype=complex)

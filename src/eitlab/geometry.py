@@ -294,7 +294,9 @@ class Mesh:
     region containing the triangle.  `boundary_nodes` walks the outer boundary
     counterclockwise and fixes the trace-basis ordering used by the boundary
     operators.  `interface_edges` maps an interface index to its node-pair
-    rows.
+    rows.  `grid` is the row-major node-index grid of a `generate_mesh` mesh
+    (row 0 at the bottom, x increasing along each row); it is None for a
+    disk, a `read_mesh` mesh and any mesh built by hand.
     """
 
     nodes: np.ndarray
@@ -305,6 +307,7 @@ class Mesh:
     h: float
     partition: Partition | None = None
     disk: tuple[float, float, float] | None = None   # (cx, cy, radius)
+    grid: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -388,6 +391,14 @@ def generate_mesh(p: Partition, h: float) -> Mesh:
     subdivision count and the refined node set nests the coarse one.  An h
     that leaves one cell across or one cell down, and so no interior node,
     raises TooCoarseError.
+
+    No quality or orientation pass runs on the result.  Each cell is split
+    along its rising diagonal into two triangles listed counterclockwise, so
+    every area is positive by construction.  h is below every strip thickness
+    and the grid is at least 2 cells across, so every cell side lies in
+    (h/2, h], up to the relative 1e-9 by which a subdivision count may round
+    down: each cell has dy/dx in (1/2, 2), and every angle is at least
+    atan(1/2), about 26.57 degrees.  `Mesh.grid` records the node grid.
     """
     if not (h > 0):
         raise InvalidSpecError(f"mesh size must be positive, got {h}")
@@ -450,12 +461,9 @@ def generate_mesh(p: Partition, h: float) -> Mesh:
         ids = base + np.arange(W)
         iface_edges[s.index] = np.column_stack([ids[:-1], ids[1:]])
 
-    mesh = Mesh(nodes=nodes, triangles=_orient_ccw(nodes, tris),
-                tri_region=tri_region, boundary_nodes=boundary_nodes,
-                interface_edges=iface_edges, h=float(h), partition=p)
-    if mesh.min_angle_deg() < MIN_ANGLE_FLOOR_DEG:
-        raise GeometryError("mesh quality below the minimum angle floor")
-    return mesh
+    return Mesh(nodes=nodes, triangles=tris, tri_region=tri_region,
+                boundary_nodes=boundary_nodes, interface_edges=iface_edges,
+                h=float(h), partition=p, grid=np.arange(len(nodes)).reshape(-1, W))
 
 
 def generate_disk_mesh(h: float, radius: float = 1.0, center=(0.0, 0.0)) -> Mesh:

@@ -359,15 +359,19 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, recwarn, base, p
     assert not [str(w.message) for w in recwarn]
 
 
-@pytest.mark.parametrize("flags", [["--threads", "0"], ["--seed", "-1"]],
-                         ids=["zero-threads", "negative-seed"])
-def test_bad_flag_exits_2_without_traceback(tmp_path, capsys, flags):
+@pytest.mark.parametrize("out, flags", [
+    ("out", ["--threads", "0"]), ("out", ["--seed", "-1"]),
+    ("file", []), ("file/sub", []),
+], ids=["zero-threads", "negative-seed", "out-is-a-file", "out-under-a-file"])
+def test_bad_flag_exits_2_without_traceback(tmp_path, capsys, out, flags):
     cfg = write_config(tmp_path, _SWEEP)
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+    (tmp_path / "file").write_text("kept\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_sweep_mixed_strip_counts_rejected_at_parse_time_with_two_threads(tmp_path, capsys):

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 import eitlab as el
 from eitlab import forward
 from eitlab.dtn import apply_dtn, boundary_operators, dtn_matrix, h_half_gram, operator_norm
-from eitlab.forward import Admittivity, _separable_grid, assemble
+from eitlab.forward import Admittivity, assemble
 
 
 def boundary_angles(mesh):
@@ -201,7 +201,7 @@ def _rel(a, b):
 
 def test_strip_dtn_matches_superlu_oracle_without_factorizing(monkeypatch, strip_mesh):
     m, a = strip_mesh
-    assert _separable_grid(m) is not None
+    assert m.grid is not None
     nb = len(m.boundary_nodes)
     calls = _count_factorizations(monkeypatch)
     for arc in [_bottom_arc(m), np.arange(nb - 7, nb + 20) % nb, None]:
@@ -225,10 +225,10 @@ _NOT_SEPARABLE = {
 
 @pytest.mark.parametrize("kind", list(_NOT_SEPARABLE))
 def test_superlu_serves_meshes_that_are_not_row_separable(tmp_path, monkeypatch, kind):
-    # disks and read-back meshes carry no partition
+    # disks and read-back meshes carry no node grid
     m = _NOT_SEPARABLE[kind](tmp_path)
     a = Admittivity([1.3 - 0.4j] if kind == "disk" else [1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
-    assert _separable_grid(m) is None
+    assert m.grid is None
     calls = _count_factorizations(monkeypatch)
     d = dtn_matrix(m, a)
     assert len(calls) == 1

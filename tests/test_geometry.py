@@ -1,12 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import eitlab as el
 from eitlab import geometry
-from eitlab.geometry import (InvalidSpecError, NoChainError, TooCoarseError,
+from eitlab.geometry import (InvalidSpecError, NoChainError, Rect, TooCoarseError,
                              mesh_hash, read_mesh, write_mesh)
+from eitlab.singular import _box_partition
 
 
 def test_single_region_partition():
@@ -136,11 +140,54 @@ def test_refinement_nesting():
         assert (round(x, 12), round(y, 12)) in fine_set
 
 
-def test_triangle_orientation_and_quality():
-    p = el.build_partition(3)
-    m = el.generate_mesh(p, 1 / 12)
+@st.composite
+def _grid_requests(draw):
+    """A partition and a mesh size for `generate_mesh`.
+
+    1-6 strips with or without the extension, on a rectangle of width and
+    height 1e-2 ... 1e1 at an offset, or a `_box_partition` sub-box of one,
+    whose end strips are cut to unequal thickness.  h runs from just under
+    the thinnest strip or the width down to 1/50 of it, and no finer than
+    about 20 000 nodes.
+    """
+    n = draw(st.integers(1, 6))
+    size = st.floats(1e-2, 1e1)
+    w, ht = draw(size), draw(size)
+    x0, y0 = draw(st.floats(-1e1, 1e1)), draw(st.floats(-1e1, 1e1))
+    p = el.build_partition(n, rect=(x0, y0, x0 + w, y0 + ht),
+                           with_extension=draw(st.booleans()))
+    if len(p.regions) > 1 and draw(st.booleans()):
+        d, t = p.domain, ht / n
+        below = draw(st.integers(0, len(p.regions) - 2))
+        above = draw(st.integers(below + 1, len(p.regions) - 1))
+        lo = d.y0 + (below + draw(st.floats(0.1, 0.4))) * t
+        hi = d.y0 + (above + draw(st.floats(0.6, 0.9))) * t
+        p = _box_partition(p, Rect(d.x0 + draw(st.floats(0.0, 0.4)) * d.width, lo,
+                                   d.x0 + draw(st.floats(0.6, 1.0)) * d.width, hi))
+    limit = min(min(r.thickness for r in p.regions), p.domain.width)
+    finest = max(limit / 50, math.sqrt(p.domain.width * p.domain.height / 20_000))
+    coarsest = limit * (1 - 1e-6)
+    assume(finest < coarsest)
+    return p, coarsest * (finest / coarsest) ** draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(request=_grid_requests())
+@example(request=(el.build_partition(3), 1 / 12))
+def test_triangle_orientation_and_quality(request):
+    # generate_mesh runs no orientation or angle pass: its triangles are
+    # counterclockwise and its angles at least atan(1/2) by construction
+    m = el.generate_mesh(*request)
     assert np.all(m.areas() > 0)
-    assert m.min_angle_deg() >= 20.0
+    assert m.min_angle_deg() >= math.degrees(math.atan(0.5)) - 1e-9
+    grid = m.grid
+    assert grid.size == m.n_nodes
+    x, y = m.nodes[grid, 0], m.nodes[grid, 1]
+    assert np.all(y == y[:, :1])
+    assert np.all(np.diff(y[:, 0]) > 0)
+    assert np.all(np.diff(x, axis=1) > 0)
+    assert np.array_equal(m.interior_nodes(), grid[1:-1, 1:-1].ravel())
+    assert np.array_equal(m.boundary_nodes[:grid.shape[1]], grid[0])
 
 
 def test_boundary_loop_ccw_closed():

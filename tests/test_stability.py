@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 import eitlab as el
 from eitlab import forward
 from eitlab.dtn import dtn_matrix
-from eitlab.forward import Admittivity, FemSystem, _separable_grid, assemble, region_stiffness
+from eitlab.forward import Admittivity, FemSystem, assemble, region_stiffness
 from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _project_admissible,
                               constant_bound, delta_recursion, gauss_newton_reconstruct,
                               omega, omega_inverse, omega_inverse_log, omega_iterate,
@@ -241,7 +241,7 @@ def test_sensitivity_columns_satisfy_euler_identity(tmp_path, with_extension, h,
 
 def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch, strip_mesh):
     m, a = strip_mesh
-    assert _separable_grid(m) is not None
+    assert m.grid is not None
     factorizations = []
     factorize = forward.splu
     monkeypatch.setattr(forward, "splu",
@@ -260,7 +260,7 @@ def test_strip_derivatives_read_the_green_functions_schur_kept(monkeypatch, with
     # derivative columns read it; a bottom-edge arc forms only its end columns
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
-    assert _separable_grid(m) is not None
+    assert m.grid is not None
     alone = assemble(m, a).derivatives()
     all_columns = []
     green = forward._mode_green
@@ -344,6 +344,19 @@ def test_sensitivity_sigma_min_stable_under_refinement():
         assert sens.sigma_min > 0
         vals.append(sens.sigma_min)
     assert vals[1] == pytest.approx(vals[0], rel=0.10)
+
+
+@pytest.mark.parametrize("gamma, hs", [
+    ((1.2, 1.0 + 0.7j, 2.0 - 0.3j), (1 / 12, 1 / 24, 1 / 48)),
+    ((1.0, 1.0 + 0.5j, 2.0, 1.5), (1 / 16, 1 / 32, 1 / 64)),
+], ids=["3-strips", "4-strips"])
+def test_sensitivity_sigma_min_converges_at_first_order(gamma, hs):
+    # h halves on meshes whose node rows nest, so the observed order
+    # log2((s2 - s1) / (s3 - s2)) estimates the discretization order of sigma_min
+    a = Admittivity(gamma)
+    p = el.build_partition(a.n)
+    s1, s2, s3 = (sensitivity_jacobian(el.generate_mesh(p, h), a).sigma_min for h in hs)
+    assert math.log2((s2 - s1) / (s3 - s2)) == pytest.approx(1.0, abs=0.15)
 
 
 def test_reconstruction_fixed_point(monkeypatch):
