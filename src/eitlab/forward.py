@@ -306,6 +306,11 @@ class FemSystem:
             self._lu = splu(self.matrix[np.ix_(ii, ii)].tocsc())
         return self._lu
 
+    @functools.cached_property
+    def _a_ib(self) -> sp.csr_matrix:
+        """A_IB, the interior rows' boundary columns, formed once like `lu`."""
+        return self.matrix[np.ix_(self.interior, self.boundary)]
+
     def schur(self, positions=None) -> np.ndarray:
         """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
 
@@ -327,7 +332,8 @@ class FemSystem:
         bb = self.boundary if positions is None else self.boundary[positions]
         grid = self.mesh.grid       # None: SuperLU
         if grid is None:
-            X = self.lu.solve(A[np.ix_(self.interior, bb)].toarray())
+            A_ib = self._a_ib if positions is None else self._a_ib[:, positions]
+            X = self.lu.solve(A_ib.toarray())
             if positions is None:
                 self._full = X
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
@@ -397,7 +403,7 @@ class FemSystem:
             raise ValueError("trace length does not match the boundary node count")
         u = np.zeros(self.mesh.n_nodes, dtype=complex)
         u[self.boundary] = f
-        rhs = -(self.matrix[np.ix_(self.interior, self.boundary)] @ f)
+        rhs = -(self._a_ib @ f)
         if load is not None:
             rhs += load[self.interior]
         u[self.interior] = self.lu.solve(rhs)

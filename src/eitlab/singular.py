@@ -14,8 +14,26 @@ source and all integrands are smooth where they matter.  The weak defining
 property  sum gamma grad G . grad phi = phi(y)  is testable with a plateau
 bump and is exercised in the tests.
 
+The corrector load b_i = -sum_T gtilde_T int_T grad Gamma_l . grad phi_i is
+formed from line integrals on the edges where gtilde jumps.  gtilde is
+constant on each triangle, and wherever it is nonzero Gamma_l is harmonic:
+the source's strip and the other strip next to interface l both carry
+gtilde = 0, and every other strip lies in one half-plane of interface l.
+Green's first identity on each triangle, summed over the mesh, then gives
+
+    b_i = -sum_e (gtilde_T - gtilde_T') int_e phi_i grad Gamma_l . n_T ds
+
+exactly, over the edges e between triangles T and T' (n_T the outward
+normal of T).  Edges inside one strip cancel, and outer-boundary edges meet
+only Dirichlet rows, so only edges on a coefficient jump remain.  A mesh
+without a partition uses the uniform kernel of region 1 everywhere; where
+its source sits in a triangle with gtilde != 0, the identity leaves the
+point mass of the kernel as one more term.
+
 Probe integrals S_k pair the gradients of two singular solutions (bilinear,
-no conjugation) over the unexplored strips above depth k.
+no conjugation) over the unexplored strips above depth k.  They stay on area
+quadrature: the moving source of `s_k_on_grid` may sit on the boundary of
+the integration region, where a line integral would meet the singularity.
 """
 
 from __future__ import annotations
@@ -26,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtn import apply_dtn
-from .forward import (Admittivity, FieldSolution, _p1_grads, assemble, solve_dirichlet,
+from .forward import (Admittivity, FieldSolution, assemble, solve_dirichlet,
                       stiffness)
 from .fundsol import TwoPhaseCoeffs, laplace_gamma, laplace_gamma_grad, \
     two_phase_gamma, two_phase_gamma_grad
@@ -135,6 +153,80 @@ class SingularSolution:
         return float(np.sqrt(np.real(total)))
 
 
+# 4-point Gauss-Legendre rule on [0, 1] for the corrector's edge integrals
+_EDGE_T, _EDGE_W = np.polynomial.legendre.leggauss(4)
+_EDGE_T, _EDGE_W = (_EDGE_T + 1.0) / 2.0, _EDGE_W / 2.0
+
+
+def _jump_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges between triangles of different regions, found once per mesh.
+
+    Returns the node pairs (m, 2), ordered as in the counterclockwise
+    triangle `inner` (m,), and the triangle `outer` (m,) across each edge.
+    On a `generate_mesh` mesh these are the edges of `interface_edges` away
+    from the outer boundary.
+    """
+    if "jump_edges" not in mesh._cache:
+        tris = mesh.triangles
+        a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+        key = np.minimum(a, b) * mesh.n_nodes + np.maximum(a, b)
+        order = np.argsort(key, kind="stable")
+        twin = np.flatnonzero(key[order][1:] == key[order][:-1])
+        first, second = order[twin], order[twin + 1]       # one edge seen twice
+        inner, outer = first // 3, second // 3
+        jump = mesh.tri_region[inner] != mesh.tri_region[outer]
+        first, inner, outer = first[jump], inner[jump], outer[jump]
+        edges = np.column_stack([a[first], b[first]])
+        mesh._cache["jump_edges"] = (edges, inner, outer)
+    return mesh._cache["jump_edges"]
+
+
+def _point_mass(mesh: Mesh, y: np.ndarray, gtilde: np.ndarray) -> np.ndarray:
+    """sum_T gtilde_T theta_T phi_i(y) over the triangles T whose closure
+    holds y, with theta_T the fraction of a small disk about y inside T."""
+    pts = mesh.tri_points()
+    area2 = 2.0 * mesh.areas()
+    lam = np.stack([((pts[:, j] - y) * (pts[:, k] - y)[:, ::-1]).dot([1.0, -1.0])
+                    for j, k in ((1, 2), (2, 0), (0, 1))], axis=1) / area2[:, None]
+    tol = 1e-12
+    out = np.zeros(mesh.n_nodes, dtype=complex)
+    for t in np.flatnonzero((lam >= -tol).all(axis=1) & (gtilde != 0)):
+        zero = np.abs(lam[t]) <= tol
+        if zero.sum() == 2:         # y is a vertex: the triangle's angle there
+            v = np.flatnonzero(~zero)[0]
+            e1, e2 = pts[t, (v + 1) % 3] - y, pts[t, (v + 2) % 3] - y
+            theta = math.acos(np.clip(e1 @ e2 / np.hypot(*e1) / np.hypot(*e2),
+                                      -1.0, 1.0)) / (2.0 * math.pi)
+        else:                       # inside, or on an edge
+            theta = 0.5 ** zero.sum()
+        np.add.at(out, mesh.triangles[t], gtilde[t] * theta * lam[t])
+    return out
+
+
+def _edge_flux(sol: SingularSolution, ends: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """jump_e int_e phi grad Gamma_l . n ds for the hats phi of both ends of
+    each edge (m, 2, 2), n the normal to the right of the edge; shape (m, 2).
+
+    Each edge takes the 4-point Gauss-Legendre rule on ceil(4 L / d) equal
+    panels (at most 64), L its length and d a lower bound on its distance
+    from the source, so an edge at least 4 L away is one panel of 4 points.
+    """
+    a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    near = np.hypot(*(a + d / 2 - sol.y).T) - length / 2
+    panels = np.ceil(4 * length / np.maximum(near, 4 * length / 64)).astype(int)
+    e = np.repeat(np.arange(len(ends)), panels)                 # edge of each panel
+    j = np.arange(len(e)) - np.repeat(np.cumsum(panels) - panels, panels)
+    t = (j[:, None] + _EDGE_T) / panels[e, None]                # (np, 4) on [0, 1]
+    gk = sol.kernel_grad((a[e, None] + t[..., None] * d[e, None]).reshape(-1, 2))
+    normal = np.column_stack([d[:, 1], -d[:, 0]])[e]            # |e| long
+    flux = (jump[e, None] * _EDGE_W / panels[e, None]
+            * np.einsum("pqd,pd->pq", gk.reshape(-1, 4, 2), normal))
+    out = np.zeros((len(ends), 2), dtype=complex)
+    np.add.at(out, e, np.column_stack([(flux * (1.0 - t)).sum(1), (flux * t).sum(1)]))
+    return out
+
+
 class CorrectorSolver:
     """Factorizes one admittivity once and serves many source points."""
 
@@ -142,7 +234,6 @@ class CorrectorSolver:
         self.mesh = mesh
         self.adm = adm
         self.system = assemble(mesh, adm)
-        self._qpts = tri7_points(mesh.tri_points())      # (nt, 7, 2)
 
     def _check_placement(self, y: np.ndarray) -> None:
         mesh = self.mesh
@@ -159,8 +250,20 @@ class CorrectorSolver:
 
     def correction(self, y, link: int | None = None,
                    check_placement: bool = True) -> SingularSolution:
+        """Singular solution G = Gamma_l + w for the source y.
+
+        The corrector load is a sum of 4-point Gauss-Legendre line integrals
+        on the edges where gtilde jumps (see the module docstring), so its
+        kernel gradients are taken on those edges only.  A source that is not
+        finite or lies outside the meshed domain raises PlacementError even
+        with `check_placement=False`, which relaxes only the node, interface
+        and probe-set rules.
+        """
         y = np.asarray(y, dtype=float)
         mesh, adm = self.mesh, self.adm
+        if not (np.all(np.isfinite(y)) and mesh.contains_ball(y, 0.0)):
+            raise PlacementError(f"source {tuple(y.tolist())} is not a point of the "
+                                 "meshed domain")
         if check_placement:
             self._check_placement(y)
 
@@ -194,15 +297,15 @@ class CorrectorSolver:
         gtilde = adm.element_values(mesh) - approx
 
         b = np.zeros(mesh.n_nodes, dtype=complex)
-        active = np.abs(gtilde) > 0
-        if np.any(active):
-            qp = self._qpts[active]                       # (m, 7, 2)
-            gk = sol.kernel_grad(qp.reshape(-1, 2)).reshape(-1, 7, 2)
-            area, grads = _p1_grads(mesh)
-            # b_i = -sum_T gtilde_T area_T sum_q w_q grad Gamma_l(x_q) . grad phi_i
-            scaled = (gtilde[active] * area[active])[:, None] * (TRI7_W @ gk)
-            contrib = -np.einsum("md,mid->mi", scaled, grads[active])
-            np.add.at(b, mesh.triangles[active].ravel(), contrib.ravel())
+        edges, inner, outer = _jump_edges(mesh)
+        jump = gtilde[inner] - gtilde[outer]
+        on = jump != 0
+        if np.any(on):
+            # b_i = -sum_e jump_e int_e phi_i grad Gamma_l . n ds
+            np.add.at(b, edges[on], -_edge_flux(sol, mesh.nodes[edges[on]], jump[on]))
+        if p is None and np.any(gtilde != 0):
+            # -gamma_y lap Gamma_l is the point mass at y
+            b -= _point_mass(mesh, y, gtilde) / coeffs.gamma_plus
 
         sol.w = self.system.solve(-sol.kernel(mesh.nodes[mesh.boundary_nodes]), load=b)
         return sol

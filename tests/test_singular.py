@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 import eitlab as el
 from eitlab import singular
-from eitlab.forward import Admittivity, FemSystem, SolverError, region_stiffness
+from eitlab.forward import Admittivity, FemSystem, SolverError, _p1_grads, region_stiffness
 from eitlab.fundsol import TwoPhaseCoeffs, laplace_gamma
 from eitlab.geometry import GeometryError, Rect
 from eitlab.quadrature import TRI7_W, tri7_points
@@ -33,6 +36,19 @@ def test_placement_errors(strip_solver):
         sv.correction(node)                             # on a mesh node
     with pytest.raises(PlacementError):
         sv.correction(np.array([0.51, 0.26]), link=1)   # no region below edge 1
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_source_off_the_meshed_domain_raises_placement_error(check):
+    disk = CorrectorSolver(el.generate_disk_mesh(1 / 8), Admittivity([2.0]))
+    strips = CorrectorSolver(el.generate_mesh(el.build_partition(2), 1 / 8),
+                             Admittivity([1.0, 2.0 + 1.0j]))
+    for sv, y in ((disk, (np.nan, 0.1)), (disk, (3.0, 0.2)),
+                  (strips, (0.5, np.inf)), (strips, (0.5, 1.5))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PlacementError, match="not a point of the meshed domain"):
+                sv.correction(np.array(y), check_placement=check)
 
 
 def test_corrector_residual_failure_raises_solver_error(monkeypatch):
@@ -268,6 +284,9 @@ def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch):
     z_calls = [n for y, n in sources if y == tuple(z)]
     # one load for the corrector, then one probe evaluation for the whole grid
     assert z_calls[1:] == [7 * np.count_nonzero(m.tri_region == 3)]
+    # z's load: 4 Gauss points on each edge where gtilde jumps, which are the
+    # edges of interfaces 2 and 3 (strips 0 and 1 both carry gtilde = 0)
+    assert z_calls[0] == 4 * sum(len(m.interface_edges[i]) for i in (2, 3))
 
     gz = sv2.correction(z, link=1)
     want = [s_k_evaluate(sv1.correction(y, check_placement=False), gz, 2) for y in points]
@@ -364,3 +383,149 @@ def test_half_space_probe_rate_slope():
     _, vals, slope = half_space_probe_rate(c1, c2, (2.0 + 0.5j) - 1.5, radii, rho0)
     assert slope == pytest.approx(-1.0, abs=0.1)
     assert np.all(np.abs(vals) > 0)
+
+
+# --- corrector load against independent area-integral oracles -----------------
+
+_LOAD_GAMMA = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+_LOAD_SOURCES = {
+    "below-interface-2-link-2": ((0.51, 1 / 3 - 0.02), 2, True),
+    "strip-2-default-link": ((0.49, 0.42), None, True),
+    "extension-link-1": ((0.47, -0.25), 1, True),
+    "on-interface-2": ((0.503, 1 / 3), None, False),
+    "node-on-interface-2": ((0.5, 1 / 3), None, False),
+}
+
+
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _tri7_load(g, gtilde):
+    """The area load -sum_T gtilde_T int_T grad Gamma_l . grad phi_i with the
+    seven-point rule on every triangle where gtilde != 0."""
+    mesh = g.mesh
+    area, grads = _p1_grads(mesh)
+    act = gtilde != 0
+    qp = tri7_points(mesh.tri_points()[act])
+    gk = g.kernel_grad(qp.reshape(-1, 2)).reshape(-1, 7, 2)
+    scaled = (gtilde[act] * area[act])[:, None] * (TRI7_W @ gk)
+    b = np.zeros(mesh.n_nodes, dtype=complex)
+    np.add.at(b, mesh.triangles[act], -np.einsum("md,mid->mi", scaled, grads[act]))
+    return b
+
+
+def _uniform_kernel_load(g, gtilde):
+    """The same load for the uniform kernel Gamma = -log|x - y| / (2 pi gamma),
+    exact: int_T grad Gamma = sum over the edges of T of n_e int_e Gamma ds,
+    and int_e log|x - y| ds has a closed form, also with y on the edge."""
+    mesh, y = g.mesh, g.y
+    assert g.coeffs.gamma_plus == g.coeffs.gamma_minus
+    pts = mesh.tri_points()
+    a, d = pts, np.roll(pts, -1, axis=1) - pts         # counterclockwise edges
+    length = np.hypot(d[..., 0], d[..., 1])
+    tau = d / length[..., None]
+    s0 = ((y - a) * tau).sum(-1)
+    dist = np.abs(_cross(tau, y - a))
+
+    def antiderivative(u):                              # of log sqrt(u^2 + dist^2)
+        return 0.5 * xlogy(u, u * u + dist * dist) - u + dist * np.arctan2(u, dist)
+
+    int_log = antiderivative(length - s0) - antiderivative(-s0)
+    normal = np.stack([d[..., 1], -d[..., 0]], axis=-1) / length[..., None]
+    mean = -(normal * int_log[..., None]).sum(axis=1) / (2 * np.pi * g.coeffs.gamma_plus)
+    _, grads = _p1_grads(mesh)
+    b = np.zeros(mesh.n_nodes, dtype=complex)
+    np.add.at(b, mesh.triangles, -gtilde[:, None] * np.einsum("md,mid->mi", mean, grads))
+    return b
+
+
+def _corrector_against(sv, oracle, y, link, check):
+    """Relative max-norm difference between the corrector w and the w solved
+    from the oracle's load, plus the load the corrector was solved with."""
+    loads = []
+
+    def spy(trace, load=None):
+        loads.append(load)
+        return FemSystem.solve(sv.system, trace, load)
+
+    sv.system.solve = spy
+    g = sv.correction(np.array(y), link=link, check_placement=check)
+    del sv.system.solve
+    cen = sv.mesh.centroids()
+    approx = np.where(cen[:, 1] > g.iface_y, g.coeffs.gamma_plus, g.coeffs.gamma_minus)
+    gtilde = sv.adm.element_values(sv.mesh) - approx
+    trace = -g.kernel(sv.mesh.nodes[sv.mesh.boundary_nodes])
+    w = sv.system.solve(trace, load=oracle(g, gtilde)).values
+    return np.abs(g.w.values - w).max() / np.abs(w).max(), loads[0]
+
+
+@pytest.fixture(scope="module")
+def load_meshes(tmp_path_factory):
+    """h -> (generated mesh, its write_mesh/read_mesh round trip)."""
+    p = el.build_partition(3, with_extension=True)
+    out = {}
+    for h in (1 / 32, 1 / 64):
+        m = el.generate_mesh(p, h)
+        path = tmp_path_factory.mktemp("mesh") / "m.txt"
+        el.write_mesh(m, path)
+        out[h] = m, el.read_mesh(path)
+    return out
+
+
+def _jump_edge_nodes(mesh):
+    edges, _, _ = singular._jump_edges(mesh)
+    return np.unique(edges)
+
+
+@pytest.mark.parametrize("case", list(_LOAD_SOURCES), ids=list(_LOAD_SOURCES))
+def test_corrector_load_matches_tri7_area_load(load_meshes, case):
+    # the two-phase kernel on a generated mesh: the seven-point area rule's
+    # own error shrinks with h, and so does the difference
+    y, link, check = _LOAD_SOURCES[case]
+    diffs = []
+    for h, bound in ((1 / 32, 1e-9), (1 / 64, 1e-10)):
+        m = load_meshes[h][0]
+        sv = CorrectorSolver(m, _LOAD_GAMMA)
+        diff, load = _corrector_against(sv, _tri7_load, y, link, check)
+        assert diff <= bound
+        diffs.append(diff)
+        assert set(np.flatnonzero(load)) <= set(_jump_edge_nodes(m))
+    assert diffs[1] < diffs[0]
+
+
+@pytest.mark.parametrize("case", list(_LOAD_SOURCES), ids=list(_LOAD_SOURCES))
+def test_corrector_load_on_a_read_back_mesh_matches_exact_area_load(load_meshes, case):
+    # a read-back mesh has no partition: the uniform kernel of region 1, so
+    # gtilde != 0 next to, and for four of the sources at, the source.  The
+    # seven-point rule cannot integrate the singular triangle there; the
+    # closed-form oracle can.  The line integrals pay for near edges with
+    # more panels and add the point mass where the source meets gtilde != 0.
+    y, link, check = _LOAD_SOURCES[case]
+    for h, bound in ((1 / 32, 1e-9), (1 / 64, 1e-10)):
+        m = load_meshes[h][1]
+        assert m.partition is None
+        diff, _ = _corrector_against(CorrectorSolver(m, _LOAD_GAMMA),
+                                     _uniform_kernel_load, y, link, check)
+        assert diff <= bound
+
+
+def test_jump_edges_are_the_interface_edges(load_meshes):
+    def pairs(e):
+        return set(map(tuple, np.sort(e, axis=1).tolist()))
+
+    for m, back in load_meshes.values():
+        want = pairs(np.concatenate(list(m.interface_edges.values())))
+        for mesh in (m, back):
+            edges, inner, outer = singular._jump_edges(mesh)
+            assert mesh._cache["jump_edges"][0] is edges
+            assert pairs(edges) == want
+            assert np.all(mesh.tri_region[inner] != mesh.tri_region[outer])
+            # each edge runs counterclockwise around its inner triangle
+            third = mesh.triangles[inner].sum(axis=1) - edges.sum(axis=1)
+            a, b, c = (mesh.nodes[i] for i in (edges[:, 0], edges[:, 1], third))
+            assert np.all(_cross(b - a, c - a) > 0)
+    # without an extension strip interface 1 is the outer boundary, no jump
+    m = el.generate_mesh(el.build_partition(3), 1 / 16)
+    want = pairs(np.concatenate([m.interface_edges[i] for i in (2, 3)]))
+    assert pairs(singular._jump_edges(m)[0]) == want
