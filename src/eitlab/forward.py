@@ -594,11 +594,11 @@ def caccioppoli_ratio(u: FieldSolution, x0, rho: float, R: float,
     """
     if not rho < R:
         raise ValueError(f"need rho < R, got rho={rho}, R={R}")
-    if not u.mesh.contains_ball(x0, R):
-        raise GeometryError(f"ball of radius {R} at {tuple(x0)} leaves the domain")
+    c = np.asarray(x0, dtype=float)
+    if not u.mesh.contains_ball(c, R):
+        raise GeometryError(f"ball of radius {R} at {tuple(c.tolist())} leaves the domain")
 
     tp = u.mesh.tri_points()
-    c = np.asarray(x0, dtype=float)
     # quick reject: triangles that cannot meet B_R
     near = np.linalg.norm(u.mesh.centroids() - c[None, :], axis=1) <= R + 2.5 * u.mesh.h
     grad_density = (np.abs(u.gradients()[near]) ** 2).sum(axis=1)

@@ -50,12 +50,21 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be 2 or 3, got {n}")
 
 
+def _norm(d: np.ndarray) -> np.ndarray:
+    """|d| along the last axis (length 2 or 3), bitwise `np.linalg.norm`:
+    the squares are added in the order of its `add.reduce`."""
+    s = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    if d.shape[-1] == 3:
+        s += d[..., 2] * d[..., 2]
+    return np.sqrt(s)
+
+
 def laplace_gamma(x, y, n: int = 2):
     """Free-space kernel: 1/(4 pi |x-y|) for n=3, -(1/2 pi) log|x-y| for n=2."""
     _check_dim(n)
     xs = _as_points(x, n)
     ys = np.asarray(y, dtype=float)
-    r = np.linalg.norm(xs - ys, axis=-1)
+    r = _norm(xs - ys)
     if np.any(r == 0.0):
         raise SingularPointError("kernel evaluated at the source point")
     if n == 3:
@@ -71,7 +80,7 @@ def laplace_gamma_grad(x, y, n: int = 2):
     xs = _as_points(x, n)
     ys = np.asarray(y, dtype=float)
     d = xs - ys
-    r = np.linalg.norm(d, axis=-1)
+    r = _norm(d)
     if np.any(r == 0.0):
         raise SingularPointError("kernel gradient evaluated at the source point")
     if n == 3:
@@ -141,21 +150,28 @@ def _two_phase_eval(x, y, c: TwoPhaseCoeffs, n: int, grad: bool, x_side=None):
         # exact uniform reduction: every branch is kernel / gamma
         out = direct / c.gamma_plus
         return out[0] if np.ndim(x) == 1 else out
-    out_shape = (len(xs), n) if grad else (len(xs),)
-    out = np.zeros(out_shape, dtype=complex)
-
     same = sx * sy > 0
-    cross = ~same
-    upper = same & (sx > 0)
-    lower = same & (sx < 0)
-    if np.any(upper):
-        refl = ev(xs[upper], ystar, n)
-        out[upper] = direct[upper] / c.gamma_plus + c.s * refl
-    if np.any(lower):
-        refl = ev(xs[lower], ystar, n)
-        out[lower] = direct[lower] / c.gamma_minus + c.t * refl
-    if np.any(cross):
-        out[cross] = c.cross_coefficient * direct[cross]
+    if same.all():
+        # one side of the interface, the source's: no masks, no copies
+        g, image = (c.gamma_plus, c.s) if sy > 0 else (c.gamma_minus, c.t)
+        out = (direct / g + image * ev(xs, ystar, n)).astype(complex, copy=False)
+    elif not same.any():
+        out = (c.cross_coefficient * direct).astype(complex, copy=False)
+    else:
+        out_shape = (len(xs), n) if grad else (len(xs),)
+        out = np.zeros(out_shape, dtype=complex)
+
+        cross = ~same
+        upper = same & (sx > 0)
+        lower = same & (sx < 0)
+        if np.any(upper):
+            refl = ev(xs[upper], ystar, n)
+            out[upper] = direct[upper] / c.gamma_plus + c.s * refl
+        if np.any(lower):
+            refl = ev(xs[lower], ystar, n)
+            out[lower] = direct[lower] / c.gamma_minus + c.t * refl
+        if np.any(cross):
+            out[cross] = c.cross_coefficient * direct[cross]
     return out[0] if np.ndim(x) == 1 else out
 
 

@@ -34,6 +34,18 @@ Probe integrals S_k pair the gradients of two singular solutions (bilinear,
 no conjugation) over the unexplored strips above depth k.  They stay on area
 quadrature: the moving source of `s_k_on_grid` may sit on the boundary of
 the integration region, where a line integral would meet the singularity.
+With diff = gamma1 - gamma2 and the TRI7 points x_q and weights w_q,
+
+    S_k = sum_T diff_T |T| sum_q w_q grad G1(x_q) . grad G2(x_q)
+        = sum_q grad Gamma1(x_q) . V2(x_q) + w1 . f,
+
+    V2(x_q) = diff_T |T| w_q grad G2(x_q),   f_i = sum_T grad phi_i|_T . v_T,
+    v_T = sum_{q in T} V2(x_q),
+
+exactly, because grad w1 is constant on each triangle and w1 = sum_i w1_i
+phi_i.  V2 and f depend on G2 and gamma1 only, so the fixed source of a
+probe grid forms them once, and each moving source costs its kernel at the
+points plus two dot products.
 """
 
 from __future__ import annotations
@@ -44,8 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtn import apply_dtn
-from .forward import (Admittivity, FieldSolution, assemble, solve_dirichlet,
-                      stiffness)
+from .forward import (Admittivity, FieldSolution, _p1_grads, assemble,
+                      solve_dirichlet, stiffness)
 from .fundsol import TwoPhaseCoeffs, laplace_gamma, laplace_gamma_grad, \
     two_phase_gamma, two_phase_gamma_grad
 from .geometry import GeometryError, Mesh, Partition, Rect, Region, generate_mesh
@@ -102,7 +114,7 @@ class SingularSolution:
     w: FieldSolution
     mesh: Mesh
     adm: Admittivity
-    _probe: dict = field(default_factory=dict, repr=False)
+    _probe: dict = field(default_factory=dict, repr=False)    # see _probe_weight
 
     def _local(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
@@ -126,15 +138,6 @@ class SingularSolution:
 
     def gradient(self, points) -> np.ndarray:
         return self.kernel_grad(points) + self.w.gradient_at(points)
-
-    def _probe_gradients(self, k: int) -> np.ndarray:
-        """Gradient at the TRI7 points of every triangle above depth k,
-        shape (m, 7, 2); formed once per depth."""
-        if k not in self._probe:
-            in_u, qp = _probe_points(self.mesh, k)
-            gk = self.kernel_grad(qp.reshape(-1, 2)).reshape(-1, 7, 2)
-            self._probe[k] = gk + self.w.gradients()[in_u][:, None, :]
-        return self._probe[k]
 
     def h1_energy_excluding_ball(self, r: float, depth: int = 6) -> float:
         """Squared H1 norm of G over the domain minus the ball B_r(y)."""
@@ -246,7 +249,7 @@ class CorrectorSolver:
             if abs(y[1] - s.y) < 1e-12:
                 raise PlacementError(f"source lies on interface {s.index}")
         if not p.chain_set_contains(y):
-            raise PlacementError(f"source {tuple(y)} lies outside the probe set K")
+            raise PlacementError(f"source {tuple(y.tolist())} lies outside the probe set K")
 
     def correction(self, y, link: int | None = None,
                    check_placement: bool = True) -> SingularSolution:
@@ -257,7 +260,8 @@ class CorrectorSolver:
         kernel gradients are taken on those edges only.  A source that is not
         finite or lies outside the meshed domain raises PlacementError even
         with `check_placement=False`, which relaxes only the node, interface
-        and probe-set rules.
+        and probe-set rules.  So does a `link` on a mesh without a partition,
+        whose kernel is the uniform one of region 1.
         """
         y = np.asarray(y, dtype=float)
         mesh, adm = self.mesh, self.adm
@@ -268,6 +272,9 @@ class CorrectorSolver:
             self._check_placement(y)
 
         p = mesh.partition
+        if p is None and link is not None:
+            raise PlacementError(f"link={link} needs a strip partition, and the mesh "
+                                 "has no partition")
         if p is None or (link is None and adm.n == 1 and not (p and p.with_extension)):
             # uniform single-region domain (e.g. the disk): the two-phase
             # kernel with equal values is the uniform kernel exactly
@@ -388,12 +395,44 @@ def _probe_points(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
     return mesh._cache[key]
 
 
+def _probe_weight(g2: SingularSolution, adm1: Admittivity, k: int):
+    """TRI7 points, weight V and nodal vector f of g2 for S_k against any
+    solution of admittivity adm1; formed once per (k, adm1) and kept on g2.
+
+    V = diff |T| w_q grad G2(x_q) (flattened) on the triangles above depth k
+    where diff = gamma1 - gamma2 is nonzero, and f_i = sum_T grad phi_i . v_T
+    with v_T the sum of V over the points of T.  None when there is no such
+    triangle.
+    """
+    key = (k, adm1)
+    if key not in g2._probe:
+        mesh = g2.mesh
+        diff = adm1.element_values(mesh) - g2.adm.element_values(mesh)
+        in_u, qp = _probe_points(mesh, k)
+        rows = np.abs(diff[in_u]) > 0
+        if not np.any(rows):
+            g2._probe[key] = None
+            return None
+        tris = np.flatnonzero(in_u)[rows]
+        points = qp[rows].reshape(-1, 2)
+        area, p1 = _p1_grads(mesh)
+        grad2 = g2.kernel_grad(points).reshape(-1, 7, 2) + g2.w.gradients()[tris][:, None, :]
+        weight = (diff[tris] * area[tris])[:, None, None] * TRI7_W[:, None] * grad2
+        f = np.zeros(mesh.n_nodes, dtype=complex)
+        np.add.at(f, mesh.triangles[tris],
+                  np.einsum("tid,td->ti", p1[tris], weight.sum(axis=1)))
+        g2._probe[key] = (points, weight.ravel(), f)
+    return g2._probe[key]
+
+
 def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
     """Probe integral over the unexplored strips above depth k.
 
     Bilinear pairing (no conjugation) of the coefficient difference with the
     two singular-solution gradients; both solutions must share one mesh and
-    neither source may sit inside the integration region.
+    neither source may sit inside the integration region.  g2's part is its
+    `_probe_weight`, so a call costs g1's kernel at the TRI7 points and two
+    dot products (see the module docstring).
     """
     if g1.mesh is not g2.mesh:
         raise MeshMismatchError("probe operands live on different meshes")
@@ -403,17 +442,12 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
         if mesh.partition.region_of_point(g.y) in labels:
             raise PlacementError("source lies inside the unexplored region")
 
-    diff = g1.adm.element_values(mesh) - g2.adm.element_values(mesh)
-    in_u, _ = _probe_points(mesh, k)
-    sel = in_u & (np.abs(diff) > 0)
-    if not np.any(sel):
+    cached = _probe_weight(g2, g1.adm, k)
+    if cached is None:
         return 0.0 + 0.0j
-    rows = sel[in_u]
-    grad1 = g1._probe_gradients(k)[rows]
-    grad2 = g2._probe_gradients(k)[rows]
-    dots = (grad1 * grad2).sum(axis=2)          # bilinear, no conjugation
-    area = mesh.areas()[sel]
-    return complex(np.sum(diff[sel] * area * (dots @ TRI7_W)))
+    points, weight, f = cached
+    # bilinear, no conjugation
+    return complex(g1.kernel_grad(points).ravel() @ weight + g1.w.values @ f)
 
 
 def s_k_on_grid(solver1: CorrectorSolver, solver2: CorrectorSolver, k: int,

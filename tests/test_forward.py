@@ -243,6 +243,10 @@ def test_caccioppoli_errors():
         caccioppoli_ratio(u, (0.5, 0.5), 0.4, 0.2)
     with pytest.raises(GeometryError):
         caccioppoli_ratio(u, (0.9, 0.9), 0.1, 0.5)
+    for x0 in ((0.9, 0.25), np.array([0.9, 0.25]), [0.9, 0.25]):
+        with pytest.raises(GeometryError,
+                           match=r"^ball of radius 0\.5 at \(0\.9, 0\.25\) leaves the domain$"):
+            caccioppoli_ratio(u, x0, 0.1, 0.5)
 
 
 def test_caccioppoli_harmonic_suite_stable(rng):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import eitlab as el
-from eitlab.fundsol import (SingularPointError, TwoPhaseCoeffs, laplace_gamma,
-                            laplace_gamma_grad, transmission_residual,
+from eitlab.fundsol import (SingularPointError, TwoPhaseCoeffs, _two_phase_eval,
+                            laplace_gamma, laplace_gamma_grad, transmission_residual,
                             two_phase_gamma, two_phase_gamma_grad)
 
 
@@ -165,3 +165,92 @@ def test_two_phase_discrete_harmonicity_rate():
         r1 = five_point(x, 1e-2)
         r2 = five_point(x, 5e-3)
         assert r2 <= r1 / 2.5 + 1e-9
+
+
+# --- bitwise oracle: the masked, branch-wise kernel with np.linalg.norm --------
+
+def _ref_gamma(xs, y, n, grad):
+    d = xs - y
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0.0):
+        raise SingularPointError("kernel evaluated at the source point")
+    if grad:
+        return -d / ((4.0 if n == 3 else 2.0) * np.pi * r[..., None] ** (3 if n == 3 else 2))
+    return 1.0 / (4.0 * np.pi * r) if n == 3 else -np.log(r) / (2.0 * np.pi)
+
+
+def _ref_two_phase(x, y, c, n, grad, x_side=None):
+    """Every point split by branch through boolean masks, as a reference for
+    the kernels' one-sided fast paths."""
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    ystar = y.copy()
+    ystar[-1] = -ystar[-1]
+    sx = np.sign(xs[:, -1]) if x_side is None else np.full(len(xs), float(x_side))
+    sy = np.sign(y[-1])
+    sx = np.where(sx == 0.0, -sy if sy != 0.0 else 1.0, sx)
+    if sy == 0.0:
+        sy = 1.0
+    direct = _ref_gamma(xs, y, n, grad)
+    if c.gamma_plus == c.gamma_minus:
+        out = direct / c.gamma_plus
+        return out[0] if np.ndim(x) == 1 else out
+    out = np.zeros((len(xs), n) if grad else (len(xs),), dtype=complex)
+    same = sx * sy > 0
+    upper, lower, cross = same & (sx > 0), same & (sx < 0), ~same
+    if np.any(upper):
+        out[upper] = direct[upper] / c.gamma_plus + c.s * _ref_gamma(xs[upper], ystar, n, grad)
+    if np.any(lower):
+        out[lower] = direct[lower] / c.gamma_minus + c.t * _ref_gamma(xs[lower], ystar, n, grad)
+    if np.any(cross):
+        out[cross] = c.cross_coefficient * direct[cross]
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernels_match_the_branchwise_reference_bitwise(n, rng):
+    sets = {side: rng.uniform(-2.0, 2.0, (40, n)) for side in ("above", "below", "on", "mixed")}
+    sets["above"][:, -1] = np.abs(sets["above"][:, -1])
+    sets["below"][:, -1] = -np.abs(sets["below"][:, -1])
+    sets["on"][:, -1] = 0.0
+    sets["mixed"][:5, -1] = 0.0                        # mixed, some on the interface
+    sets["above-and-on"] = np.vstack([sets["above"], sets["on"][:3]])
+    sources = [rng.uniform(-1, 1, n) for _ in range(3)]
+    sources[0][-1], sources[1][-1], sources[2][-1] = 0.3, -0.45, 0.0
+    coeffs = [TwoPhaseCoeffs(2.0 + 0.5j, 1.0 - 0.2j), TwoPhaseCoeffs(2.0, 1.0),
+              TwoPhaseCoeffs(0.7, 1.3 + 0.9j), TwoPhaseCoeffs(1.5 + 0.1j, 1.5 + 0.1j)]
+    checked = 0
+    for y in sources:
+        assert _same_bits(laplace_gamma(sets["mixed"], y, n=n),
+                          _ref_gamma(sets["mixed"], y, n, False))
+        assert _same_bits(laplace_gamma_grad(sets["mixed"], y, n=n),
+                          _ref_gamma(sets["mixed"], y, n, True))
+        for c in coeffs:
+            for name, x in sets.items():
+                assert _same_bits(two_phase_gamma(x, y, c, n=n),
+                                  _ref_two_phase(x, y, c, n, False)), (name, y, c)
+                assert _same_bits(two_phase_gamma_grad(x, y, c, n=n),
+                                  _ref_two_phase(x, y, c, n, True)), (name, y, c)
+                checked += 2
+            # one-sided limits on the interface
+            for side in (+1.0, -1.0):
+                for grad in (False, True):
+                    assert _same_bits(
+                        _two_phase_eval(sets["on"], y, c, n, grad, x_side=side),
+                        _ref_two_phase(sets["on"], y, c, n, grad, x_side=side))
+            # a single point, on either side
+            for x in (sets["above"][0], sets["below"][0]):
+                assert _same_bits(two_phase_gamma(x, y, c, n=n),
+                                  _ref_two_phase(x, y, c, n, False))
+                assert _same_bits(two_phase_gamma_grad(x, y, c, n=n),
+                                  _ref_two_phase(x, y, c, n, True))
+            for kernel in (two_phase_gamma, two_phase_gamma_grad):
+                with pytest.raises(SingularPointError):
+                    kernel(np.vstack([sets["above"][:2], y]), y, c, n=n)
+    assert checked == 3 * 4 * 5 * 2

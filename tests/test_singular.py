@@ -51,6 +51,26 @@ def test_source_off_the_meshed_domain_raises_placement_error(check):
                 sv.correction(np.array(y), check_placement=check)
 
 
+def test_placement_messages_print_plain_numbers(strip_solver):
+    _, _, sv = strip_solver
+    with pytest.raises(PlacementError,
+                       match=r"^source \(0\.05, 0\.3\) lies outside the probe set K$"):
+        sv.correction(np.array([0.05, 0.3]))
+
+
+def test_link_on_a_mesh_without_partition_raises_placement_error(load_meshes):
+    # such a mesh takes the uniform kernel of region 1, which has no interface
+    back = load_meshes[1 / 32][1]
+    disk = el.generate_disk_mesh(1 / 8)
+    for mesh, y in ((back, (0.49, 0.42)), (disk, (0.11, 0.07))):
+        assert mesh.partition is None
+        sv = CorrectorSolver(mesh, _LOAD_GAMMA if mesh is back else Admittivity([2.0]))
+        for link in (1, 2):
+            with pytest.raises(PlacementError, match="mesh has no partition"):
+                sv.correction(np.array(y), link=link)
+        assert np.all(np.isfinite(sv.correction(np.array(y)).w.values))
+
+
 def test_corrector_residual_failure_raises_solver_error(monkeypatch):
     m = el.generate_mesh(el.build_partition(2), 1 / 16)
     sv = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j]))
@@ -294,6 +314,48 @@ def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch):
     assert np.all(got != 0)
 
 
+def _s_k_full_gradients(g1, g2, k):
+    """S_k from both full gradients grad G = grad Gamma + grad w at the TRI7
+    points of every triangle above depth k where the admittivities differ."""
+    mesh = g1.mesh
+    diff = g1.adm.element_values(mesh) - g2.adm.element_values(mesh)
+    sel = np.isin(mesh.tri_region, list(mesh.partition.u_labels(k))) & (np.abs(diff) > 0)
+    qp = tri7_points(mesh.tri_points()[sel]).reshape(-1, 2)
+    area, p1 = _p1_grads(mesh)
+    grads = [g.kernel_grad(qp).reshape(-1, 7, 2)
+             + np.einsum("ti,tid->td", g.w.values[mesh.triangles[sel]], p1[sel])[:, None]
+             for g in (g1, g2)]
+    dots = (grads[0] * grads[1]).sum(axis=2)
+    return complex(np.sum(diff[sel] * area[sel] * (dots @ TRI7_W)))
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_s_k_matches_the_full_gradient_formula(h):
+    p = el.build_partition(3, with_extension=True)
+    m = el.generate_mesh(p, h)
+    sv1 = CorrectorSolver(m, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j]))
+    sv2 = CorrectorSolver(m, Admittivity([1.2 + 0.3j, 1.4 - 0.2j, 1.6 + 0.4j]))
+    gz = sv2.correction(np.array([0.48, -0.23]), link=1)
+    z_kernel, z_points = gz.kernel_grad, []
+    gz.kernel_grad = lambda pts: z_points.append(len(pts)) or z_kernel(pts)
+
+    got, moving = [], []
+    for k in (1, 2):
+        # above, below and on interface k, the bottom of the region above depth k
+        iface = p.interface_by_index(k).y
+        for dy in (0.02, -0.02, 0.0):
+            gy = sv1.correction(np.array([0.503, iface + dy]), check_placement=False)
+            got.append(s_k_evaluate(gy, gz, k))
+            # the moving source forms no mesh-wide gradient and keeps nothing
+            assert gy.w._grads is None and gy._probe == {}
+            moving.append((gy, k))
+        # gz's kernel once per depth, at every point where the strips differ
+        assert z_points[-1] == 7 * np.count_nonzero(np.isin(m.tri_region, list(p.u_labels(k))))
+    assert len(z_points) == 2
+    want = [_s_k_full_gradients(gy, gz, k) for gy, k in moving]
+    assert np.abs(np.subtract(got, want)).max() <= 1e-13 * np.abs(want).min()
+
+
 def test_alessandrini_trivial_pair(strips3_mesh64):
     p, m = strips3_mesh64
     a = Admittivity([1.0, 2.0, 1.5])
@@ -506,7 +568,7 @@ def test_corrector_load_on_a_read_back_mesh_matches_exact_area_load(load_meshes,
         m = load_meshes[h][1]
         assert m.partition is None
         diff, _ = _corrector_against(CorrectorSolver(m, _LOAD_GAMMA),
-                                     _uniform_kernel_load, y, link, check)
+                                     _uniform_kernel_load, y, None, check)
         assert diff <= bound
 
 
