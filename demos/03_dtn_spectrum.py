@@ -20,7 +20,7 @@ print(f"ring-triangulated disk: {mesh.n_nodes} nodes, "
 d = el.dtn_matrix(mesh, el.Admittivity([1.0]))
 scale = np.abs(d.matrix).max()
 print(f"complex symmetry defect: {np.abs(d.matrix - d.matrix.T).max() / scale:.2e}")
-print(f"constants in the kernel: {np.abs(d.matrix @ np.ones(d.n)).max() / scale:.2e}")
+print(f"constants in the kernel: {np.abs(d.matrix @ np.ones(len(d.matrix))).max() / scale:.2e}")
 
 w = np.sort(sla.eigh(d.matrix.real, d.mass, eigvals_only=True))
 print("\nmode k | eigenvalue pair | relative error")

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .forward import Admittivity, FemSystem, assemble
-from .geometry import Mesh, _fmt, _write_csv, mesh_hash
+from .geometry import Mesh
 
 __all__ = [
     "DtNMap",
@@ -42,25 +42,10 @@ class DtNMap:
     mass: np.ndarray         # boundary mass M (SPD)
     stiffness: np.ndarray    # boundary 1D Laplace-Beltrami B (PSD)
     mesh: Mesh = field(repr=False)
-    _gram_half: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    positions: tuple | None = None   # the arc's interior positions; None: whole loop
 
     def gram_half(self) -> np.ndarray:
-        if self._gram_half is None:
-            self._gram_half = h_half_gram(self.mass, self.stiffness, 0.5)
-        return self._gram_half
-
-    def to_csv(self, path) -> None:
-        """Dense export: re/im interleaved DtN, then M, then B."""
-        n = self.n
-        interleaved = np.stack([self.matrix.real, self.matrix.imag], axis=2).reshape(n, -1)
-        header = f"# dtn v1 n={n} mesh={mesh_hash(self.mesh)} h={_fmt(self.mesh.h)}"
-        _write_csv(path, [header],
-                   [[f"{part}_{p}" for p in range(n) for part in ("re", "im")],
-                    *interleaved, ["# mass"], *self.mass, ["# stiffness"], *self.stiffness])
+        return _gram_and_chol(self.mesh, self.positions, (self.mass, self.stiffness))[0]
 
 
 def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +93,9 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
             raise ValueError("arc laps the boundary loop and repeats a position")
         sub = np.ix_(positions, positions)
         M, B = M[sub], B[sub]
-    return DtNMap(matrix=assemble(mesh, adm).schur(positions), mass=M, stiffness=B, mesh=mesh)
+    key = None if positions is None else tuple(positions.tolist())
+    return DtNMap(matrix=assemble(mesh, adm).schur(positions), mass=M, stiffness=B,
+                  mesh=mesh, positions=key)
 
 
 def apply_dtn(system: FemSystem, trace) -> np.ndarray:
@@ -132,6 +119,21 @@ def h_half_gram(M: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
     core = V @ np.diag((1.0 + d) ** s) @ V.T
     W = M @ core @ M
     return 0.5 * (W + W.T)
+
+
+def _gram_and_chol(mesh: Mesh, positions=None,
+                   operators=None) -> tuple[np.ndarray, np.ndarray]:
+    """Order-1/2 Gram of the whole boundary loop, or of the arc interior
+    `positions`, and its lower Cholesky factor: formed once per mesh and arc,
+    and read-only.  `operators` is the (M, B) pair of that loop or arc, by
+    default the whole loop's."""
+    key = ("gram_and_chol", positions)
+    if key not in mesh._cache:
+        W = h_half_gram(*(operators or boundary_operators(mesh)), 0.5)
+        L = sla.cholesky(W, lower=True)
+        W.flags.writeable = L.flags.writeable = False
+        mesh._cache[key] = W, L
+    return mesh._cache[key]
 
 
 def _whiten(L: np.ndarray, Z: np.ndarray) -> np.ndarray:

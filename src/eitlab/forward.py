@@ -408,12 +408,28 @@ class FemSystem:
             rhs += load[self.interior]
         u[self.interior] = self.lu.solve(rhs)
         sol = FieldSolution(mesh=self.mesh, values=u, trace=f)
-        res = sol.interior_residual(self.matrix, self.interior, load)
+        res = self.residual(sol, load)
         if not res <= 1e-8:                  # NaN fails every comparison
             raise SolverError(
                 f"interior residual {res:.3e} exceeds tolerance; system may be "
                 "ill-conditioned (check the ellipticity bound)")
         return sol
+
+    @functools.cached_property
+    def _matrix_scale(self) -> float:
+        """Largest stiffness entry in modulus, formed once like `lu`."""
+        return max(np.abs(self.matrix.data).max(), 1e-300)
+
+    def residual(self, u: "FieldSolution", load=None) -> float:
+        """Largest interior entry of A u - load, relative to the size of the
+        field, the load and the matrix."""
+        r = self.matrix @ u.values
+        size = np.abs(u.values).max()
+        if load is not None:
+            r -= load
+            size = max(size, np.abs(load).max())
+        scale = max(size, 1e-300) * self._matrix_scale
+        return float(np.abs(r[self.interior]).max() / scale)
 
     def boundary_flux(self, u: "FieldSolution") -> np.ndarray:
         """Boundary residual of a solved field: its discrete conormal flux,
@@ -495,17 +511,6 @@ class FieldSolution:
     values: np.ndarray
     trace: np.ndarray | None = None
     _grads: np.ndarray | None = field(default=None, repr=False)
-
-    def interior_residual(self, matrix, interior, load=None) -> float:
-        """Largest interior entry of matrix @ values - load, relative to the
-        size of the field, the load and the matrix."""
-        r = matrix @ self.values
-        size = np.abs(self.values).max()
-        if load is not None:
-            r -= load
-            size = max(size, np.abs(load).max())
-        scale = max(size, 1e-300) * max(np.abs(matrix.data).max(), 1e-300)
-        return float(np.abs(r[interior]).max() / scale)
 
     def gradients(self) -> np.ndarray:
         """Per-triangle constant gradient, shape (nt, 2), complex."""

@@ -42,7 +42,6 @@ __all__ = [
     "mesh_hash",
 ]
 
-MIN_ANGLE_FLOOR_DEG = 20.0
 # Largest node count `generate_mesh` builds: about 60 times the finest mesh the
 # tests, demos and benchmark use (16 770 nodes at h = 1/128), and small enough
 # that the mesh arrays fit in a laptop's memory.
@@ -84,19 +83,17 @@ class Rect:
     def height(self) -> float:
         return self.y1 - self.y0
 
-    def contains(self, p, tol: float = 0.0) -> bool:
+    def contains(self, p) -> bool:
         x, y = float(p[0]), float(p[1])
-        return (self.x0 - tol <= x <= self.x1 + tol
-                and self.y0 - tol <= y <= self.y1 + tol)
+        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
 @dataclass(frozen=True)
 class Region:
-    """One horizontal strip.  Label 0 is reserved for the extension strip."""
+    """One horizontal strip spanning the width of `Partition.omega`.  Label 0
+    is reserved for the extension strip."""
 
     label: int
-    x0: float
-    x1: float
     y0: float
     y1: float
 
@@ -104,15 +101,11 @@ class Region:
     def thickness(self) -> float:
         return self.y1 - self.y0
 
-    def contains(self, p, tol: float = 0.0) -> bool:
-        x, y = float(p[0]), float(p[1])
-        return (self.x0 - tol <= x <= self.x1 + tol
-                and self.y0 - tol <= y <= self.y1 + tol)
-
 
 @dataclass(frozen=True)
 class Interface:
-    """Flat segment between the regions `below` and `above` at height `y`.
+    """Flat segment between the regions `below` and `above` at height `y`,
+    spanning the width of `Partition.omega`.
 
     Index 1 is the bottom edge of the coefficient-carrying rectangle; with an
     extension strip its `below` is label 0, otherwise None (domain boundary).
@@ -121,8 +114,6 @@ class Interface:
 
     index: int
     y: float
-    x0: float
-    x1: float
     below: int | None
     above: int
     point: tuple[float, float]
@@ -141,12 +132,6 @@ class Partition:
     def labels(self) -> tuple[int, ...]:
         return tuple(r.label for r in self.regions)
 
-    def region_by_label(self, label: int) -> Region:
-        for r in self.regions:
-            if r.label == label:
-                return r
-        raise GeometryError(f"no region labelled {label}")
-
     def interface_by_index(self, index: int) -> Interface:
         for s in self.interfaces:
             if s.index == index:
@@ -162,13 +147,6 @@ class Partition:
             if r.y0 <= y < r.y1:
                 return r.label
         return self.regions[-1].label
-
-    def w_labels(self, k: int) -> set[int]:
-        """Labels of the explored set: strips 1..k plus the extension."""
-        out = set(range(1, k + 1))
-        if self.with_extension:
-            out.add(0)
-        return out & set(self.labels)
 
     def u_labels(self, k: int) -> set[int]:
         """Labels of the unexplored set: strips k+1..N (never the extension)."""
@@ -226,18 +204,17 @@ def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
     regions = []
     lo = omega.y0 - r0 if with_extension else omega.y0
     if with_extension:
-        regions.append(Region(0, omega.x0, omega.x1, omega.y0 - r0, omega.y0))
+        regions.append(Region(0, omega.y0 - r0, omega.y0))
     for j in range(1, n_strips + 1):
-        regions.append(Region(j, omega.x0, omega.x1,
-                              omega.y0 + (j - 1) * t, omega.y0 + j * t))
+        regions.append(Region(j, omega.y0 + (j - 1) * t, omega.y0 + j * t))
 
     interfaces = []
     mid = 0.5 * (omega.x0 + omega.x1)
-    interfaces.append(Interface(1, omega.y0, omega.x0, omega.x1,
-                                0 if with_extension else None, 1, (mid, omega.y0)))
+    interfaces.append(Interface(1, omega.y0, 0 if with_extension else None, 1,
+                                (mid, omega.y0)))
     for k in range(2, n_strips + 1):
         yk = omega.y0 + (k - 1) * t
-        interfaces.append(Interface(k, yk, omega.x0, omega.x1, k - 1, k, (mid, yk)))
+        interfaces.append(Interface(k, yk, k - 1, k, (mid, yk)))
 
     domain = Rect(omega.x0, lo, omega.x1, omega.y1)
     return Partition(domain=domain, omega=omega, regions=tuple(regions),
@@ -255,6 +232,8 @@ def build_chain(p: Partition, target: int) -> Chain:
     if target not in labels:
         raise NoChainError(f"target region {target} not in partition labels {sorted(labels)}")
     start = 0 if p.with_extension else 1
+    if start not in labels:
+        raise NoChainError(f"start region {start} not in partition labels {sorted(labels)}")
 
     adj: dict[int, list[tuple[int, int]]] = {lbl: [] for lbl in labels}
     for s in p.interfaces:
@@ -471,7 +450,8 @@ def generate_disk_mesh(h: float, radius: float = 1.0, center=(0.0, 0.0)) -> Mesh
 
     Ring i carries 6*i nodes, giving near-equilateral triangles throughout.
     The outermost ring, walked counterclockwise from angle 0, is the boundary
-    trace basis.
+    trace basis.  No orientation or quality pass runs: every triangle is
+    listed counterclockwise, and the smallest angle is about 30 degrees.
     """
     if not (0 < h < radius):
         raise TooCoarseError(f"mesh size {h} invalid for disk radius {radius}")
@@ -490,7 +470,6 @@ def generate_disk_mesh(h: float, radius: float = 1.0, center=(0.0, 0.0)) -> Mesh
     nodes = np.array(pts)
 
     tris = []
-    inner = ring_ids[0]
     for j in range(6):
         tris.append([0, ring_ids[1][j], ring_ids[1][(j + 1) % 6]])
     for i in range(2, m + 1):
@@ -509,14 +488,11 @@ def generate_disk_mesh(h: float, radius: float = 1.0, center=(0.0, 0.0)) -> Mesh
                 ia += 1
     tris = np.asarray(tris, dtype=np.int64)
 
-    mesh = Mesh(nodes=nodes, triangles=_orient_ccw(nodes, tris),
+    return Mesh(nodes=nodes, triangles=tris,
                 tri_region=np.ones(len(tris), dtype=np.int64),
                 boundary_nodes=ring_ids[m],
                 interface_edges={}, h=radius / m, partition=None,
                 disk=(cx, cy, radius))
-    if mesh.min_angle_deg() < MIN_ANGLE_FLOOR_DEG:
-        raise GeometryError("disk mesh quality below the minimum angle floor")
-    return mesh
 
 
 # --- plain-text formats -----------------------------------------------------

@@ -473,7 +473,7 @@ def _box_partition(p: Partition, box: Rect) -> Partition:
     for r in sorted(p.regions, key=lambda r: r.y0):
         lo, hi = max(r.y0, box.y0), min(r.y1, box.y1)
         if hi - lo > 1e-12:
-            regions.append(Region(r.label, box.x0, box.x1, lo, hi))
+            regions.append(Region(r.label, lo, hi))
     for s in p.interfaces:
         if box.y0 + 1e-12 < s.y < box.y1 - 1e-12:
             interfaces.append(s)

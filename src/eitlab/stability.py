@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import _whiten, boundary_operators, dtn_matrix, h_half_gram, operator_norm
+from .dtn import _gram_and_chol, _whiten, dtn_matrix, operator_norm
 from .forward import Admittivity, assemble
 from .geometry import Mesh
 
@@ -220,54 +220,16 @@ class TowerFloat:
 
 @dataclass(frozen=True)
 class ConstantTracker:
-    """Concrete inputs of the stability-constant calculus.
-
-    The base constant and the sphere-chain count are inputs, not derived
-    quantities; when `n1` is omitted it defaults to area/(c_n r1^n) + 1 with
-    c_n the unit-ball volume.  The three-sphere exponent tau is fixed by the
-    radius pattern (r, 3r, 4r).
-    """
+    """A priori data of the stability-constant calculus: the dimension n of
+    the modulus and the base constant C of one interface crossing."""
 
     n: int = 3
     c_base: float = 1.0
-    delta1: float = 0.5
-    r0: float = 1.0
-    r1: float | None = None
-    area: float = 1.0
-    n1: float | None = None
 
     def __post_init__(self):
         _check_dim(self.n)
         if self.c_base <= 0:
             raise ValueError("base constant must be positive")
-        if not 0.0 < self.delta1 < 1.0:
-            raise ValueError("delta1 must lie in (0, 1)")
-        if self.r1 is None:
-            object.__setattr__(self, "r1", self.r0 / 8.0)
-        if not 0.0 < self.r1 <= self.r0:
-            raise ValueError("need 0 < r1 <= r0")
-        if self.n1 is None:
-            try:           # c_n r1^n leaves the float range from n = 221 on
-                cn = math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
-                object.__setattr__(self, "n1", self.area / (cn * self.r1 ** self.n) + 1.0)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise ValueError(f"sphere-chain count overflows in dimension {self.n}") from exc
-        if self.n1 < 1:
-            raise ValueError("sphere-chain count must be at least 1")
-
-    def tau_r(self, r: float) -> float:
-        if not 0.0 < r < self.r1:
-            raise ValueError(f"radius must lie in (0, r1) = (0, {self.r1})")
-        r1 = self.r1
-        return math.log((3 * r1 - r) / (3 * r1 - 2 * r)) / math.log((3 * r1 - r) / r1)
-
-    def mu_log(self, k: int, r: float) -> float:
-        """log of the unique-continuation exponent tau^((k+1) n1) delta1^(k+1) tau_r."""
-        if k < 0:
-            raise ValueError("chain depth must be nonnegative")
-        return ((k + 1) * self.n1 * math.log(TAU)
-                + (k + 1) * math.log(self.delta1)
-                + math.log(self.tau_r(r)))
 
 
 @dataclass(frozen=True)
@@ -297,12 +259,15 @@ def constant_bound(N: int, tracker: ConstantTracker) -> ConstantBound:
         raise ValueError("region count must be at least 1")
     C = tracker.c_base
     n = tracker.n
-    p = 4.0 / (n - 2)
     L0 = math.log(2.0) + N * math.log(C + 1.0)
-    cap_log = -((n - 2) / 4.0) * math.log(n)
+    try:
+        cap_log = -((n - 2) / 4.0) * math.log(n)
+    except OverflowError:    # n beyond the float range: the cap n^(-(n-2)/4) is 0
+        cap_log = -math.inf
     if -L0 >= cap_log:
         raise ValueError(
             "starting value 1/(2(C+1)^N) is outside the invertible branch")
+    p = 4.0 / (n - 2)
     L = TowerFloat.from_float(L0)
     for _ in range(N):
         L = L.mul(p).exp()
@@ -370,17 +335,6 @@ def _phi(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def _jacobian(L: np.ndarray, cols) -> np.ndarray:
     """Weighted complex Jacobian, one column per strip value."""
     return np.column_stack([_phi(L, Mj) for Mj in cols])
-
-
-def _gram_and_chol(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Order-1/2 boundary Gram matrix and its lower Cholesky factor, formed
-    once per mesh and read-only."""
-    if "gram_and_chol" not in mesh._cache:
-        W = h_half_gram(*boundary_operators(mesh), 0.5)
-        L = sla.cholesky(W, lower=True)
-        W.flags.writeable = L.flags.writeable = False
-        mesh._cache["gram_and_chol"] = W, L
-    return mesh._cache["gram_and_chol"]
 
 
 @dataclass

@@ -83,7 +83,7 @@ def test_criterion_3_dtn_spectral_oracle(disk_mesh64):
     d = dtn_matrix(disk_mesh64, Admittivity([1.0]))
     scale = np.abs(d.matrix).max()
     sym = np.abs(d.matrix - d.matrix.T).max() / scale
-    kern = np.abs(d.matrix @ np.ones(d.n)).max() / scale
+    kern = np.abs(d.matrix @ np.ones(len(d.matrix))).max() / scale
     w = np.sort(sla.eigh(d.matrix.real, d.mass, eigvals_only=True))
     ks = np.repeat(np.arange(1, 9), 2)
     rel = np.abs(w[1:17] - ks) / ks

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eitlab.cli as cli
-from eitlab import dtn, forward, stability
+from eitlab import dtn, forward
 from eitlab.forward import FemSystem
 
 
@@ -330,6 +330,7 @@ def _with(base, path, value):
     (BASE_FORWARD, ("seed",), -1),
     (BASE_FORWARD, ("mesh", "h"), 1e-300),
     (_CONSTANT_BOUND, ("params", "dim"), 400),
+    (_CONSTANT_BOUND, ("params", "dim"), 10 ** 400),
     (_CONSTANT_BOUND, ("params",), {"dim": 5, "C": 0.1}),
     (BASE_FORWARD, ("version",), True),
     (_S_RATE, ("admittivity_2", "values"), [[1, 0], [2, 1]]),
@@ -346,7 +347,8 @@ def _with(base, path, value):
         "asymptotics-repeated-radius", "s-rate-one-radius", "sweep-negative-pair-index",
         "sweep-mixed-strip-counts", "experiment-not-a-string", "out-dir-not-a-string",
         "admittivities-not-a-list", "negative-seed", "unrepresentable-mesh-size",
-        "constant-bound-huge-dim", "constant-bound-outside-branch", "version-true",
+        "constant-bound-huge-dim", "constant-bound-dim-beyond-float",
+        "constant-bound-outside-branch", "version-true",
         "s-rate-zero-jump", "mesh-too-many-nodes", "mesh-one-cell-wide"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, recwarn, base, path,
                                               value):
@@ -482,9 +484,7 @@ def _reconstruct_counts(tmp_path, monkeypatch, config):
     monkeypatch.setattr(cli, "gauss_newton_reconstruct", traced)
     grams = []
     gram = dtn.h_half_gram
-    for module in (dtn, stability):
-        monkeypatch.setattr(module, "h_half_gram",
-                            lambda *args: grams.append(args) or gram(*args))
+    monkeypatch.setattr(dtn, "h_half_gram", lambda *args: grams.append(args) or gram(*args))
     cfg = write_config(tmp_path, config)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     return len(factorizations), len(builds), runs, len(grams)

@@ -27,7 +27,7 @@ def test_dtn_constant_kernel_and_symmetry(strips2_mesh64):
     p, m = strips2_mesh64
     d = dtn_matrix(m, Admittivity([1.0, 2.0 + 1.0j]))
     scale = np.abs(d.matrix).max()
-    assert np.abs(d.matrix @ np.ones(d.n)).max() <= 1e-10 * scale
+    assert np.abs(d.matrix @ np.ones(len(d.matrix))).max() <= 1e-10 * scale
     assert np.abs(d.matrix - d.matrix.T).max() <= 1e-10 * scale
 
 
@@ -37,8 +37,9 @@ def test_dtn_matrix_matches_matrix_free_action(strips3_mesh64, rng):
     a = Admittivity([1.0, 2.0 + 1.0j, 1.5 - 0.5j])
     d = dtn_matrix(m, a)
     sys_ = assemble(m, a)
+    nb = len(d.matrix)
     for _ in range(3):
-        f = rng.standard_normal(d.n) + 1j * rng.standard_normal(d.n)
+        f = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         ref = apply_dtn(sys_, f)
         assert np.linalg.norm(d.matrix @ f - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -118,7 +119,7 @@ def test_local_dtn_full_arc_equals_global(strips2_mesh64):
     p, m = strips2_mesh64
     a = Admittivity([1.0, 2.0])
     d = dtn_matrix(m, a)
-    nb = d.n
+    nb = len(d.matrix)
     arc = np.arange(nb + 1) % nb      # wraps once around: interior = everything
     loc = dtn_matrix(m, a, arc=arc)
     assert loc.matrix.shape == (nb - 1, nb - 1)
@@ -161,7 +162,7 @@ def test_dtn_matrix_arc_is_principal_block_of_full_map(kind, with_extension):
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     full = dtn_matrix(m, a)
-    nb = full.n
+    nb = len(full.matrix)
     arc = _bottom_arc(m) if kind == "bottom" else np.arange(nb - 7, nb + 20) % nb
     interior = np.asarray(arc)[1:-1]
     sub = np.ix_(interior, interior)
@@ -298,7 +299,7 @@ def test_bottom_arc_map_matches_layered_closed_form(with_extension):
     for h in [1 / 32, 1 / 64, 1 / 128]:
         m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
         d = dtn_matrix(m, a, arc=_bottom_arc(m))
-        n = d.n
+        n = len(d.matrix)
         j = np.arange(1, n + 1)
         S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
         lam = S @ d.matrix @ S
@@ -313,25 +314,3 @@ def test_bottom_arc_map_matches_layered_closed_form(with_extension):
     order_d = np.log2(np.array(errors_d[:-1]) / np.array(errors_d[1:]))[:, :3]
     assert np.abs(order - 2.0).max() <= 0.1
     assert np.abs(order_d - 2.0).max() <= 0.1
-
-
-def test_dtn_csv_export(tmp_path, strips2_mesh64):
-    p, m = strips2_mesh64
-    d = dtn_matrix(m, Admittivity([1.0, 2.0 + 1.0j]))
-    path = tmp_path / "dtn.csv"
-    d.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# dtn v1")
-    assert el.mesh_hash(m) in text[0]
-
-    def block(lines):
-        return np.array([[float(v) for v in line.split(",")] for line in lines])
-
-    n = d.n
-    body = block(text[2:2 + n])
-    assert np.array_equal(body[:, 0::2], d.matrix.real)
-    assert np.array_equal(body[:, 1::2], d.matrix.imag)
-    assert text[2 + n] == "# mass"
-    assert np.array_equal(block(text[3 + n:3 + 2 * n]), d.mass)
-    assert text[3 + 2 * n] == "# stiffness"
-    assert np.array_equal(block(text[4 + 2 * n:]), d.stiffness)

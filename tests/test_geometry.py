@@ -34,7 +34,8 @@ def test_three_strip_interfaces_and_chain():
 def test_extension_partition_geometry():
     p = el.build_partition(2, with_extension=True)
     assert len(p.regions) == 3
-    assert p.region_by_label(0).thickness == pytest.approx(p.r0)
+    assert p.regions[0].label == 0
+    assert p.regions[0].thickness == pytest.approx(p.r0)
     s1 = p.interface_by_index(1)
     assert s1.y == 0.0 and s1.below == 0 and s1.above == 1
     # deep part of the extension is in K and at depth >= r0/2 below the edge
@@ -49,8 +50,8 @@ def test_marked_points_carry_interface_ball():
     p = el.build_partition(4)
     for s in p.interfaces:
         px = s.point[0]
-        assert px - p.r0 / 3 >= s.x0 - 1e-12
-        assert px + p.r0 / 3 <= s.x1 + 1e-12
+        assert px - p.r0 / 3 >= p.omega.x0 - 1e-12
+        assert px + p.r0 / 3 <= p.omega.x1 + 1e-12
 
 
 def test_invalid_specs():
@@ -68,28 +69,36 @@ def test_chain_trivial_and_errors():
     assert el.build_chain(p, 1).regions == (1,)
     with pytest.raises(NoChainError):
         el.build_chain(p, 9)
+    # a box over strips 2-3 lacks strip 1, where a chain without the
+    # extension starts
+    bp = _box_partition(el.build_partition(3), Rect(0.4, 0.5, 0.6, 0.9))
+    assert bp.labels == (2, 3)
+    with pytest.raises(NoChainError, match="start region 1"):
+        el.build_chain(bp, 3)
 
 
 def test_uw_labels_partition_omega():
     p = el.build_partition(4, with_extension=True)
     for k in range(0, 5):
-        u = p.u_labels(k)
-        w = p.w_labels(k)
-        assert u & w == set()
-        # together they cover every label; the extension always sits in W
-        assert u | w == set(p.labels)
-        assert 0 in w
+        # strips k+1..N; the extension is never unexplored
+        assert p.u_labels(k) == {lbl for lbl in p.labels if lbl > k}
 
 
 def test_mesh_conformity():
     p = el.build_partition(2)
     m = el.generate_mesh(p, 0.25)
     cens = m.centroids()
+    regions = {r.label: r for r in p.regions}
+
+    def inside(r, v, tol=0.0):
+        return (p.omega.x0 - tol <= v[0] <= p.omega.x1 + tol
+                and r.y0 - tol <= v[1] <= r.y1 + tol)
+
     for tri, reg, c in zip(m.triangles, m.tri_region, cens):
-        r = p.region_by_label(reg)
-        assert r.contains(c)
+        r = regions[reg]
+        assert inside(r, c)
         for v in m.nodes[tri]:
-            assert r.contains(v, tol=1e-12)
+            assert inside(r, v, tol=1e-12)
 
 
 def test_structured_node_count():
@@ -215,15 +224,24 @@ def test_interface_edges_on_rows():
             assert m.nodes[j][1] == pytest.approx(yline)
 
 
-def test_disk_mesh_basics():
-    m = el.generate_disk_mesh(1 / 16)
+@pytest.mark.parametrize("h, radius, center", [
+    (1 / 16, 1.0, (0.0, 0.0)),
+    (1 / 2, 1.0, (0.0, 0.0)),
+    (1 / 128, 1.0, (0.0, 0.0)),
+    (0.011, 1.0, (0.0, 0.0)),
+    (0.07, 2.5, (1.0, -3.0)),
+    (0.05, 0.3, (0.2, 0.1)),
+], ids=["unit-h16", "unit-h2", "unit-h128", "unit-h0.011", "offset", "small-offset"])
+def test_disk_mesh_basics(h, radius, center):
+    # generate_disk_mesh runs no orientation or angle pass: its triangles
+    # are counterclockwise and its angles at least 20 degrees by construction
+    m = el.generate_disk_mesh(h, radius=radius, center=center)
     assert np.all(m.areas() > 0)
     assert m.min_angle_deg() >= 20.0
-    r = np.linalg.norm(m.nodes[m.boundary_nodes], axis=1)
-    assert np.allclose(r, 1.0, atol=1e-12)
+    rel = m.nodes[m.boundary_nodes] - np.asarray(center)
+    assert np.allclose(np.linalg.norm(rel, axis=1), radius, atol=1e-12 * radius)
     # boundary walks counterclockwise
-    th = np.unwrap(np.arctan2(m.nodes[m.boundary_nodes, 1],
-                              m.nodes[m.boundary_nodes, 0]))
+    th = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     assert np.all(np.diff(th) > 0)
 
 

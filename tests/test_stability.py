@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 
 import eitlab as el
 from eitlab import forward
-from eitlab.dtn import dtn_matrix
+from eitlab.dtn import dtn_matrix, h_half_gram
 from eitlab.forward import Admittivity, FemSystem, assemble, region_stiffness
 from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _project_admissible,
                               constant_bound, delta_recursion, gauss_newton_reconstruct,
@@ -137,17 +137,9 @@ def test_constant_bound_branch_precondition():
 
 
 def test_tracker_invariants():
-    tr = ConstantTracker(n=3, c_base=1.0, r0=1.0)
     assert 0 < TAU < 1
-    r = tr.r1 / 2
-    assert 0 < tr.tau_r(r) < 1
-    assert tr.mu_log(2, r) < 0.0        # mu in (0, 1)
-    with pytest.raises(ValueError):
-        ConstantTracker(n=3, delta1=1.5)
     with pytest.raises(ValueError):
         ConstantTracker(n=2)
-    with pytest.raises(ValueError):
-        tr.tau_r(tr.r1 * 2)
 
 
 def test_three_sphere_monomials_exact():
@@ -287,6 +279,20 @@ def test_boundary_gram_is_formed_once_per_mesh_and_read_only():
     for shared in (first.gram_half, first.chol):
         with pytest.raises(ValueError):
             shared[0, 0] = 0.0
+
+
+def test_dtn_maps_share_the_gram_of_their_mesh_and_arc():
+    m = el.generate_mesh(el.build_partition(2), 1 / 16)
+    a1, a2 = Admittivity([1.0, 2.0]), Admittivity([1.5, 1.0 + 0.5j])
+    full1, full2 = dtn_matrix(m, a1), dtn_matrix(m, a2)
+    assert full1.gram_half() is full2.gram_half()
+    assert sensitivity_jacobian(m, a1).gram_half is full1.gram_half()
+    arc = np.arange(m.grid.shape[1])                  # the bottom edge
+    loc1, loc2 = dtn_matrix(m, a1, arc=arc), dtn_matrix(m, a2, arc=arc)
+    assert loc1.gram_half() is loc2.gram_half()
+    assert np.array_equal(loc1.gram_half(), h_half_gram(loc1.mass, loc1.stiffness, 0.5))
+    with pytest.raises(ValueError):
+        loc1.gram_half()[0, 0] = 0.0
 
 
 def test_each_build_solves_each_boundary_column_once(tmp_path, monkeypatch):
