@@ -50,19 +50,27 @@ class DtNMap:
 
 def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Mass and 1D Laplace-Beltrami stiffness on the closed boundary loop."""
-    bn = mesh.boundary_nodes
-    nb = len(bn)
-    pts = mesh.nodes[bn]
+    return _loop_block(mesh, np.arange(len(mesh.boundary_nodes)))
+
+
+def _loop_block(mesh: Mesh, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal block of `boundary_operators` on distinct loop `positions`
+    (each in [-nb, nb)), formed from the loop's edge lengths alone."""
+    pts = mesh.nodes[mesh.boundary_nodes]
     ell = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)   # edge i -> i+1
-    i = np.arange(nb)
+    nb, m = len(ell), len(positions)
+    p = np.mod(positions, nb)
+    i = np.arange(m)
     j = np.roll(i, -1)
-    M = np.zeros((nb, nb))
-    B = np.zeros((nb, nb))
-    # node i closes edge i-1 and opens edge i
-    M[i, i] = np.roll(ell, 1) / 3.0 + ell / 3.0
-    M[i, j] = M[j, i] = ell / 6.0
-    B[i, i] = 1.0 / np.roll(ell, 1) + 1.0 / ell
-    B[i, j] = B[j, i] = -(1.0 / ell)
+    on = np.mod(p + 1, nb) == p[j]      # j follows i on the loop: edge p[i] joins them
+    i, j, e = i[on], j[on], ell[p[on]]
+    M = np.zeros((m, m))
+    B = np.zeros((m, m))
+    # node p closes edge p-1 and opens edge p
+    M[np.diag_indices(m)] = ell[p - 1] / 3.0 + ell[p] / 3.0
+    M[i, j] = M[j, i] = e / 6.0
+    B[np.diag_indices(m)] = 1.0 / ell[p - 1] + 1.0 / ell[p]
+    B[i, j] = B[j, i] = -(1.0 / e)
     return M, B
 
 
@@ -75,24 +83,23 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     with M and B restricted alike, so its Gram encodes traces supported on
     the arc.  Only the arc's columns are computed.
     """
-    M, B = boundary_operators(mesh)
+    nb = len(mesh.boundary_nodes)
     positions = None
     if arc is not None:
         arc = np.asarray(arc, dtype=int)
         if arc.ndim != 1 or len(arc) == 0:
             raise ValueError("arc must be a nonempty 1D index array")
-        if np.any((arc < -len(M)) | (arc >= len(M))):
-            raise ValueError(f"arc positions must lie in [-{len(M)}, {len(M)})")
-        steps = np.mod(np.diff(arc), len(M))
+        if np.any((arc < -nb) | (arc >= nb)):
+            raise ValueError(f"arc positions must lie in [-{nb}, {nb})")
+        steps = np.mod(np.diff(arc), nb)
         if np.any(steps != 1):
             raise ValueError("arc positions must be contiguous in the cyclic trace order")
         positions = arc[1:-1]
         if len(positions) == 0:
             raise ValueError("arc has no interior nodes")
-        if len(positions) > len(M):
+        if len(positions) > nb:
             raise ValueError("arc laps the boundary loop and repeats a position")
-        sub = np.ix_(positions, positions)
-        M, B = M[sub], B[sub]
+    M, B = boundary_operators(mesh) if positions is None else _loop_block(mesh, positions)
     key = None if positions is None else tuple(positions.tolist())
     return DtNMap(matrix=assemble(mesh, adm).schur(positions), mass=M, stiffness=B,
                   mesh=mesh, positions=key)

@@ -337,8 +337,9 @@ class Mesh:
         if self.disk is not None:
             dx, dy, R = self.disk
             return math.hypot(cx - dx, cy - dy) + radius <= R + 1e-12
-        lo = self.nodes.min(axis=0)
-        hi = self.nodes.max(axis=0)
+        if "bbox" not in self._cache:
+            self._cache["bbox"] = self.nodes.min(axis=0), self.nodes.max(axis=0)
+        lo, hi = self._cache["bbox"]
         return (lo[0] <= cx - radius and cx + radius <= hi[0]
                 and lo[1] <= cy - radius and cy + radius <= hi[1])
 

@@ -44,8 +44,18 @@ With diff = gamma1 - gamma2 and the TRI7 points x_q and weights w_q,
 
 exactly, because grad w1 is constant on each triangle and w1 = sum_i w1_i
 phi_i.  V2 and f depend on G2 and gamma1 only, so the fixed source of a
-probe grid forms them once, and each moving source costs its kernel at the
-points plus two dot products.
+probe grid forms them once.
+
+A moving source's corrector then enters S_k only through w1 . f.  On the
+boundary nodes B it is the trace t = -Gamma1; on the interior nodes I it
+solves A_II w1_I = b_I - A_IB t, with b its load and A the stiffness of
+gamma1, which is complex symmetric.  With the adjoint field zeta (zeta_B = 0,
+A_II zeta_I = f_I) and g = f_B - (A zeta)_B, reciprocity gives
+
+    w1 . f = f_B . t + zeta_I . (b_I - A_IB t) = g . t + zeta . b,
+
+so `s_k_on_grid` solves once, for zeta, and each moving source costs its
+trace, its load and its kernel at the points, with no solve of its own.
 """
 
 from __future__ import annotations
@@ -263,7 +273,13 @@ class CorrectorSolver:
         and probe-set rules.  So does a `link` on a mesh without a partition,
         whose kernel is the uniform one of region 1.
         """
-        y = np.asarray(y, dtype=float)
+        sol, trace, load = self._load(np.asarray(y, dtype=float), link, check_placement)
+        sol.w = self.system.solve(trace, load=load)
+        return sol
+
+    def _load(self, y: np.ndarray, link: int | None, check_placement: bool):
+        """The unsolved singular solution of `correction` (w is None), its
+        corrector's boundary trace -Gamma_l(., y) and its nodal load."""
         mesh, adm = self.mesh, self.adm
         if not (np.all(np.isfinite(y)) and mesh.contains_ball(y, 0.0)):
             raise PlacementError(f"source {tuple(y.tolist())} is not a point of the "
@@ -313,9 +329,7 @@ class CorrectorSolver:
         if p is None and np.any(gtilde != 0):
             # -gamma_y lap Gamma_l is the point mass at y
             b -= _point_mass(mesh, y, gtilde) / coeffs.gamma_plus
-
-        sol.w = self.system.solve(-sol.kernel(mesh.nodes[mesh.boundary_nodes]), load=b)
-        return sol
+        return sol, -sol.kernel(mesh.nodes[mesh.boundary_nodes]), b
 
 
 def green_correction(mesh: Mesh, adm: Admittivity, y,
@@ -385,6 +399,11 @@ def _u_labels(mesh: Mesh, k: int) -> set[int]:
     return p.u_labels(k)
 
 
+def _require_outside(p: Partition, labels: set[int], y: np.ndarray) -> None:
+    if p.region_of_point(y) in labels:
+        raise PlacementError("source lies inside the unexplored region")
+
+
 def _probe_points(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the triangles above depth k and their TRI7 points (m, 7, 2)."""
     labels = tuple(sorted(_u_labels(mesh, k)))
@@ -439,8 +458,7 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
     mesh = g1.mesh
     labels = _u_labels(mesh, k)
     for g in (g1, g2):
-        if mesh.partition.region_of_point(g.y) in labels:
-            raise PlacementError("source lies inside the unexplored region")
+        _require_outside(mesh.partition, labels, g.y)
 
     cached = _probe_weight(g2, g1.adm, k)
     if cached is None:
@@ -452,17 +470,33 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
 
 def s_k_on_grid(solver1: CorrectorSolver, solver2: CorrectorSolver, k: int,
                 z, points, link2=None) -> np.ndarray:
-    """S_k(y_i, z) for many probe points y_i (shared factorizations).
+    """S_k(y_i, z) for many probe points y_i, through one adjoint solve.
 
-    Grid points may land on the interface itself: the probe field extends
-    continuously there (the kernel branches agree), so placement checks are
-    relaxed for the moving source.
+    The moving sources form no corrector: each costs its corrector's trace
+    and load, paired with the adjoint field of z's weight (see the module
+    docstring).  Grid points may land on the interface itself: the probe
+    field extends continuously there (the kernel branches agree), so
+    placement checks are relaxed for the moving source.  It must still be a
+    point of the meshed domain outside the unexplored region.
     """
+    if solver1.mesh is not solver2.mesh:
+        raise MeshMismatchError("probe operands live on different meshes")
     gz = solver2.correction(np.asarray(z, dtype=float), link=link2)
-    out = np.empty(len(points), dtype=complex)
+    p, labels = gz.mesh.partition, _u_labels(gz.mesh, k)
+    _require_outside(p, labels, gz.y)
+    cached = _probe_weight(gz, solver1.adm, k)
+    if cached is not None:
+        qp, weight, f = cached
+        system = solver1.system
+        zeta = system.solve(np.zeros(len(system.boundary), dtype=complex), load=f)
+        g = f[system.boundary] - system.boundary_flux(zeta)
+    out = np.zeros(len(points), dtype=complex)
     for i, y in enumerate(points):
-        gy = solver1.correction(np.asarray(y, dtype=float), check_placement=False)
-        out[i] = s_k_evaluate(gy, gz, k)
+        gy, trace, load = solver1._load(np.asarray(y, dtype=float), None, False)
+        _require_outside(p, labels, gy.y)
+        if cached is not None:
+            # bilinear, no conjugation
+            out[i] = gy.kernel_grad(qp).ravel() @ weight + g @ trace + zeta.values @ load
     return out
 
 

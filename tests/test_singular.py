@@ -251,6 +251,21 @@ def test_s_k_guards(strip_solver):
         s_k_evaluate(g_hi, g_lo, 1)
 
 
+@pytest.mark.parametrize("values_2", [[1.0, 2.0 + 1.0j, 3.0], [1.0, 3.0, 1.5]],
+                         ids=["differ-above-k", "equal-above-k"])     # equal: S_2 = 0
+def test_s_k_on_grid_checks_every_moving_source(values_2):
+    m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16)
+    sv1 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 1.5]))
+    sv2 = CorrectorSolver(m, Admittivity(values_2))
+    z = np.array([0.48, -0.23])
+    good = s_k_on_grid(sv1, sv2, 2, z, [(0.42, 0.3)], link2=1)
+    assert (good[0] == 0) == (values_2[2] == 1.5)
+    for bad, match in (((0.5, 0.8), "inside the unexplored region"),
+                       ((0.5, np.nan), "not a point of the meshed domain")):
+        with pytest.raises(PlacementError, match=match):
+            s_k_on_grid(sv1, sv2, 2, z, [(0.42, 0.3), bad], link2=1)
+
+
 def test_s_diagonal_log_growth_and_monotonicity():
     # |S_1(y_r, y_r)| increases as the probe approaches the interface and
     # grows at log rate: dyadic increments stay essentially constant
@@ -283,23 +298,29 @@ def test_probe_field_weak_residual_decreases():
     assert res_fine <= res_coarse / 2.0
 
 
-def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch):
+@pytest.mark.parametrize("h", [1 / 16, 1 / 24, 1 / 64], ids=["h16", "h24", "h64"])
+def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch, h):
     p = el.build_partition(3, with_extension=True)
-    m = el.generate_mesh(p, 1 / 16)
+    m = el.generate_mesh(p, h)
     sv1 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 1.5]))
     sv2 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 3.0]))
     z = np.array([0.48, -0.23])                 # below interface 1, at y = 0
     points = np.array([[x, y] for x in (0.42, 0.5, 0.57)
                        for y in (1 / 3 - 0.1, 1 / 3, 1 / 3 + 0.05)])
 
-    sources = []
-    kernel_grad = singular.two_phase_gamma_grad
+    sources, solves = [], []
+    kernel_grad, solve = singular.two_phase_gamma_grad, FemSystem.solve
 
     def counted(x, y, c, n=2):
         sources.append((tuple(y), len(x)))
         return kernel_grad(x, y, c, n)
 
+    def counted_solve(system, trace, load=None):
+        solves.append(system)
+        return solve(system, trace, load)
+
     monkeypatch.setattr(singular, "two_phase_gamma_grad", counted)
+    monkeypatch.setattr(FemSystem, "solve", counted_solve)
     got = s_k_on_grid(sv1, sv2, 2, z, points, link2=1)
     z_calls = [n for y, n in sources if y == tuple(z)]
     # one load for the corrector, then one probe evaluation for the whole grid
@@ -307,10 +328,13 @@ def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch):
     # z's load: 4 Gauss points on each edge where gtilde jumps, which are the
     # edges of interfaces 2 and 3 (strips 0 and 1 both carry gtilde = 0)
     assert z_calls[0] == 4 * sum(len(m.interface_edges[i]) for i in (2, 3))
+    # z's corrector and the adjoint field; the moving sources solve nothing
+    assert solves == [sv2.system, sv1.system]
 
     gz = sv2.correction(z, link=1)
-    want = [s_k_evaluate(sv1.correction(y, check_placement=False), gz, 2) for y in points]
-    assert got.tobytes() == np.array(want).tobytes()
+    want = np.array([s_k_evaluate(sv1.correction(y, check_placement=False), gz, 2)
+                     for y in points])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.all(got != 0)
 
 
