@@ -12,6 +12,14 @@ The Schur complement is `FemSystem.schur`, which owns both solver back ends.
 The operator norm of a DtN difference is the largest singular value of
 L^{-1} Delta L^{-T} for the Cholesky factor W_{1/2} = L L^T, which realizes
 the sup of |<Delta f, conj(psi)>| over unit fractional-norm trace vectors.
+
+On the bottom arc of a `generate_mesh` grid (the arc of `arc: bottom`) the
+map, M, B and W_{1/2} are all diagonal in the orthonormal type-I sine basis
+along the bottom row, so a sweep takes them as n mode values: the map's from
+`forward.bottom_modes` and the Gram's from `bottom_gram`.  The operator norm
+of a difference is then max_k |Delta lam_k| / w_k, with no dense map, Gram
+eigendecomposition, Cholesky factor or SVD.  Every other arc or mesh takes
+the dense path, which is also the tests' oracle for the mode path.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .forward import Admittivity, FemSystem, assemble
+from .forward import Admittivity, FemSystem, _sine_modes, assemble, bottom_modes
 from .geometry import Mesh
 
 __all__ = [
@@ -45,7 +53,7 @@ class DtNMap:
     positions: tuple | None = None   # the arc's interior positions; None: whole loop
 
     def gram_half(self) -> np.ndarray:
-        return _gram_and_chol(self.mesh, self.positions, (self.mass, self.stiffness))[0]
+        return _gram_and_chol(self.mesh, self.positions)[0]
 
 
 def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +82,27 @@ def _loop_block(mesh: Mesh, positions: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return M, B
 
 
+def _arc_interior(mesh: Mesh, arc) -> np.ndarray | None:
+    """Interior positions of a valid `arc` (see `dtn_matrix`); None for None."""
+    if arc is None:
+        return None
+    nb = len(mesh.boundary_nodes)
+    arc = np.asarray(arc, dtype=int)
+    if arc.ndim != 1 or len(arc) == 0:
+        raise ValueError("arc must be a nonempty 1D index array")
+    if np.any((arc < -nb) | (arc >= nb)):
+        raise ValueError(f"arc positions must lie in [-{nb}, {nb})")
+    steps = np.mod(np.diff(arc), nb)
+    if np.any(steps != 1):
+        raise ValueError("arc positions must be contiguous in the cyclic trace order")
+    positions = arc[1:-1]
+    if len(positions) == 0:
+        raise ValueError("arc has no interior nodes")
+    if len(positions) > nb:
+        raise ValueError("arc laps the boundary loop and repeats a position")
+    return positions
+
+
 def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     """Schur complement of the stiffness onto the boundary trace basis.
 
@@ -83,26 +112,48 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     with M and B restricted alike, so its Gram encodes traces supported on
     the arc.  Only the arc's columns are computed.
     """
-    nb = len(mesh.boundary_nodes)
-    positions = None
-    if arc is not None:
-        arc = np.asarray(arc, dtype=int)
-        if arc.ndim != 1 or len(arc) == 0:
-            raise ValueError("arc must be a nonempty 1D index array")
-        if np.any((arc < -nb) | (arc >= nb)):
-            raise ValueError(f"arc positions must lie in [-{nb}, {nb})")
-        steps = np.mod(np.diff(arc), nb)
-        if np.any(steps != 1):
-            raise ValueError("arc positions must be contiguous in the cyclic trace order")
-        positions = arc[1:-1]
-        if len(positions) == 0:
-            raise ValueError("arc has no interior nodes")
-        if len(positions) > nb:
-            raise ValueError("arc laps the boundary loop and repeats a position")
+    positions = _arc_interior(mesh, arc)
     M, B = boundary_operators(mesh) if positions is None else _loop_block(mesh, positions)
     key = None if positions is None else tuple(positions.tolist())
     return DtNMap(matrix=assemble(mesh, adm).schur(positions), mass=M, stiffness=B,
                   mesh=mesh, positions=key)
+
+
+def bottom_gram(mesh: Mesh) -> np.ndarray:
+    """Sine modes w_k of the order-1/2 Gram of the bottom arc of a mesh with a
+    node grid (the arc of `forward.bottom_modes`).
+
+    The arc's M and B are tridiagonal Toeplitz, so the sine transform S
+    diagonalizes both, with modes mu_M and mu_B; the pencil's eigenvectors
+    are then the columns of S / mu_M^{1/2} and W_{1/2} = S diag(w) S with
+    w_k = mu_M (1 + mu_B / mu_M)^{1/2}.
+    """
+    M, B = _loop_block(mesh, np.arange(1, 3))     # first interior node, its neighbour
+    n = mesh.grid.shape[1] - 2
+    mass, stiff = _sine_modes(M[0, 0], M[0, 1], n), _sine_modes(B[0, 0], B[0, 1], n)
+    return mass * np.sqrt(1.0 + stiff / mass)
+
+
+def _sweep_maps(mesh: Mesh, arc=None):
+    """The map of an admittivity on `arc` (as in `dtn_matrix`), and the
+    operator norm of a difference of two such maps: a pair of functions.
+
+    When the arc is the bottom row of a mesh with a node grid, corner to
+    corner, a map is its n sine-mode values (`forward.bottom_modes`).  Its
+    Gram has the modes `bottom_gram` in the same basis, so the norm of a
+    difference is max_k |delta_k| / w_k, with no dense matrix.  Any other arc
+    or mesh takes the dense map and `operator_norm`.
+    """
+    positions = _arc_interior(mesh, arc)
+    grid = mesh.grid
+    if (positions is not None and grid is not None
+            and np.array_equal(mesh.boundary_nodes[positions], grid[0, 1:-1])):
+        w = bottom_gram(mesh)
+        return (lambda adm: bottom_modes(mesh, adm)), \
+            (lambda delta: float(np.abs(delta / w).max()))
+    key = None if positions is None else tuple(positions.tolist())
+    return (lambda adm: dtn_matrix(mesh, adm, arc=arc).matrix), \
+        (lambda delta: operator_norm(delta, _gram_and_chol(mesh, key)[0]))
 
 
 def apply_dtn(system: FemSystem, trace) -> np.ndarray:
@@ -128,15 +179,15 @@ def h_half_gram(M: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-def _gram_and_chol(mesh: Mesh, positions=None,
-                   operators=None) -> tuple[np.ndarray, np.ndarray]:
+def _gram_and_chol(mesh: Mesh, positions=None) -> tuple[np.ndarray, np.ndarray]:
     """Order-1/2 Gram of the whole boundary loop, or of the arc interior
-    `positions`, and its lower Cholesky factor: formed once per mesh and arc,
-    and read-only.  `operators` is the (M, B) pair of that loop or arc, by
-    default the whole loop's."""
+    `positions` (a tuple), and its lower Cholesky factor: formed once per
+    mesh and arc, and read-only."""
     key = ("gram_and_chol", positions)
     if key not in mesh._cache:
-        W = h_half_gram(*(operators or boundary_operators(mesh)), 0.5)
+        M, B = boundary_operators(mesh) if positions is None else \
+            _loop_block(mesh, np.array(positions))
+        W = h_half_gram(M, B, 0.5)
         L = sla.cholesky(W, lower=True)
         W.flags.writeable = L.flags.writeable = False
         mesh._cache[key] = W, L

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .geometry import GeometryError, Mesh, _write_csv
+from .geometry import GeometryError, Mesh, _signed_areas, _write_csv
 from .quadrature import clipped_quadrature
 
 __all__ = [
@@ -114,7 +114,9 @@ def _p1_grads(mesh: Mesh):
         return mesh._cache["p1"]
     pts = mesh.tri_points()
     x, y = pts[..., 0], pts[..., 1]
-    area = mesh.areas()
+    if "areas" not in mesh._cache:      # `Mesh.areas`, from the same points
+        mesh._cache["areas"] = _signed_areas(pts)
+    area = mesh._cache["areas"]
     det = 2.0 * area
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
@@ -184,15 +186,24 @@ def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
 
 
 def _row_coefficients(K, grid: np.ndarray):
-    """Diagonal and horizontal coupling of each interior node row, and the
-    vertical coupling of each pair of consecutive rows, read at column 1 of
-    the row-major node `grid`."""
+    """Diagonal and horizontal coupling of each node row, and the vertical
+    coupling of each pair of consecutive rows, read at column 1 of the
+    row-major node `grid`."""
     col = grid[:, 1]
 
     def at(p, q):
         return np.asarray(K[p, q]).ravel()
 
-    return at(col[1:-1], col[1:-1]), at(col[1:-1], grid[1:-1, 0]), at(col[:-1], col[1:])
+    return at(col, col), at(col, grid[:, 0]), at(col[:-1], col[1:])
+
+
+def _sine_modes(diag, off, n: int) -> np.ndarray:
+    """Eigenvalues diag + 2 off cos(k pi / (n + 1)), k = 1..n, of the n x n
+    tridiagonal Toeplitz matrix with diagonal `diag` and off-diagonal `off`,
+    whose eigenvectors are the orthonormal type-I sine transform S; one
+    column per entry of array arguments."""
+    k = np.arange(1, n + 1)
+    return diag + np.multiply.outer(2.0 * np.cos(np.pi * k / (n + 1)), off)
 
 
 def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
@@ -204,17 +215,18 @@ def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
     makes the Hermitian part of every T_k positive definite.
     """
     m = diag.shape[1]
-    x = np.zeros(diag.shape + (len(columns),), dtype=complex)
-    x[:, columns, np.arange(len(columns))] = 1.0
-    piv = diag.copy()
+    # row-major in r, so that each step of the sweep reads contiguous rows
+    x = np.zeros((m, diag.shape[0], len(columns)), dtype=complex)
+    x[columns, :, np.arange(len(columns))] = 1.0
+    piv = diag.T.copy()
     for r in range(1, m):
-        ell = off[r - 1] / piv[:, r - 1]
-        piv[:, r] -= ell * off[r - 1]
-        x[:, r] -= ell[:, None] * x[:, r - 1]
-    x[:, m - 1] /= piv[:, m - 1, None]
+        ell = off[r - 1] / piv[r - 1]
+        piv[r] -= ell * off[r - 1]
+        x[r] -= ell[:, None] * x[r - 1]
+    x[m - 1] /= piv[m - 1, :, None]
     for r in range(m - 2, -1, -1):
-        x[:, r] = (x[:, r] - off[r] * x[:, r + 1]) / piv[:, r, None]
-    return x
+        x[r] = (x[r] - off[r] * x[r + 1]) / piv[r, :, None]
+    return x.transpose(1, 0, 2)
 
 
 def _mode_tridiagonal(K, grid: np.ndarray):
@@ -223,8 +235,7 @@ def _mode_tridiagonal(K, grid: np.ndarray):
     one row per mode, and the off-diagonal that every mode shares (Buzbee,
     Golub and Nielson 1970)."""
     diag, horiz, vert = _row_coefficients(K, grid)
-    k = np.arange(1, grid.shape[1] - 1)
-    return diag + np.outer(2.0 * np.cos(np.pi * k / (len(k) + 1)), horiz), vert[1:-1]
+    return _sine_modes(diag[1:-1], horiz[1:-1], grid.shape[1] - 2), vert[1:-1]
 
 
 def _ring_couplings(K, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -275,10 +286,46 @@ def _ring_gather(ends: np.ndarray, full, rows: np.ndarray, cols: np.ndarray) -> 
     return R[np.ix_(loc, loc)]
 
 
+def _check_labels(mesh: Mesh, adm: Admittivity) -> None:
+    labels = set(region_stiffness(mesh))
+    expected = set(range(0, adm.n + 1)) if 0 in labels else set(range(1, adm.n + 1))
+    if labels != expected:
+        raise GeometryError(
+            f"mesh region labels {sorted(labels)} do not match an "
+            f"{adm.n}-strip admittivity")
+
+
 def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
     """Complex stiffness: sum over the mesh's region labels j of gamma_j K_j."""
     parts = region_stiffness(mesh)
     return sum(adm.value_for(lbl) * parts[lbl].astype(complex) for lbl in parts).tocsr()
+
+
+def bottom_modes(mesh: Mesh, adm: Admittivity) -> np.ndarray:
+    """Mode values of the bottom arc's map on a mesh with a node grid.
+
+    The arc's interior is the bottom row's n interior nodes, and its map is
+    the principal block of `FemSystem.schur` on them.  That block is
+    A_BB - c^2 G with the row's tridiagonal Toeplitz A_BB (diagonal d,
+    horizontal coupling e), the ring coupling c to the first interior row and
+    G the block of A_II^-1 on that row, whose sine mode k is [T_k^-1]_00.  So
+    the orthonormal type-I sine transform S along the row diagonalizes it:
+    S Lam S has diagonal lam_k = d + 2 e cos(k pi / (n + 1)) - c^2 [T_k^-1]_00.
+    The row couplings are linear in the strip values; each region's are read
+    once per mesh, so no stiffness is assembled.
+    """
+    _check_labels(mesh, adm)
+    grid = mesh.grid
+    if "row_coefficients" not in mesh._cache:
+        parts = region_stiffness(mesh)
+        rows = [_row_coefficients(K, grid) for K in parts.values()]
+        mesh._cache["row_coefficients"] = list(parts), [np.array(c) for c in zip(*rows)]
+    labels, coefficients = mesh._cache["row_coefficients"]
+    gammas = np.array([adm.value_for(lbl) for lbl in labels])
+    diag, horiz, vert = (gammas @ c for c in coefficients)
+    modes = _sine_modes(diag, horiz, grid.shape[1] - 2)      # every node row
+    green = _mode_green(modes[:, 1:-1], vert[1:-1], [0])[:, 0, 0]
+    return modes[:, 0] - vert[0] ** 2 * green                # vert[0] is c
 
 
 class FemSystem:
@@ -287,12 +334,7 @@ class FemSystem:
     def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh
         self.adm = adm
-        labels = set(region_stiffness(mesh))
-        expected = set(range(0, adm.n + 1)) if 0 in labels else set(range(1, adm.n + 1))
-        if labels != expected:
-            raise GeometryError(
-                f"mesh region labels {sorted(labels)} do not match an "
-                f"{adm.n}-strip admittivity")
+        _check_labels(mesh, adm)
         self.matrix = stiffness(mesh, adm)
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()

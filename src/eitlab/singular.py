@@ -247,6 +247,7 @@ class CorrectorSolver:
         self.mesh = mesh
         self.adm = adm
         self.system = assemble(mesh, adm)
+        self._links = {}        # (iface_y, coeffs) -> `_link_terms`
 
     def _check_placement(self, y: np.ndarray) -> None:
         mesh = self.mesh
@@ -314,22 +315,31 @@ class CorrectorSolver:
         sol = SingularSolution(y=y, coeffs=coeffs, iface_y=iface_y,
                                w=None, mesh=mesh, adm=adm)
 
-        # gtilde: coefficient minus its two-phase approximation
-        cen = mesh.centroids()
-        approx = np.where(cen[:, 1] > iface_y, coeffs.gamma_plus, coeffs.gamma_minus)
-        gtilde = adm.element_values(mesh) - approx
-
+        gtilde, edges, jump = self._link_terms(iface_y, coeffs)
         b = np.zeros(mesh.n_nodes, dtype=complex)
-        edges, inner, outer = _jump_edges(mesh)
-        jump = gtilde[inner] - gtilde[outer]
-        on = jump != 0
-        if np.any(on):
+        if len(edges):
             # b_i = -sum_e jump_e int_e phi_i grad Gamma_l . n ds
-            np.add.at(b, edges[on], -_edge_flux(sol, mesh.nodes[edges[on]], jump[on]))
+            np.add.at(b, edges, -_edge_flux(sol, mesh.nodes[edges], jump))
         if p is None and np.any(gtilde != 0):
             # -gamma_y lap Gamma_l is the point mass at y
             b -= _point_mass(mesh, y, gtilde) / coeffs.gamma_plus
         return sol, -sol.kernel(mesh.nodes[mesh.boundary_nodes]), b
+
+    def _link_terms(self, iface_y: float, coeffs: TwoPhaseCoeffs):
+        """gtilde, the coefficient minus its two-phase approximation, per
+        triangle, and the edges where it jumps with their jumps.  They depend
+        on the link alone, so each link's are formed once per solver."""
+        key = (iface_y, coeffs)
+        if key not in self._links:
+            mesh = self.mesh
+            approx = np.where(mesh.centroids()[:, 1] > iface_y,
+                              coeffs.gamma_plus, coeffs.gamma_minus)
+            gtilde = self.adm.element_values(mesh) - approx
+            edges, inner, outer = _jump_edges(mesh)
+            jump = gtilde[inner] - gtilde[outer]
+            on = jump != 0
+            self._links[key] = gtilde, edges[on], jump[on]
+        return self._links[key]
 
 
 def green_correction(mesh: Mesh, adm: Admittivity, y,

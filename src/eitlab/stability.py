@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dtn import _gram_and_chol, _whiten, dtn_matrix, operator_norm
+from .dtn import _gram_and_chol, _sweep_maps, _whiten
 from .forward import Admittivity, assemble
 from .geometry import Mesh
 
@@ -488,18 +488,18 @@ def stability_sweep(pairs, mesh: Mesh, threads: int = 1,
     through the local DtN on that arc.  Depth experiments need this: the
     full map of a mirror-symmetric strip stack cannot order strips by depth,
     while bottom-edge data sees deeper strips exponentially more weakly.
+    On the bottom row of a mesh with a node grid each map is its sine-mode
+    values, and eps needs no dense matrix (`dtn._sweep_maps`).
     """
+    build, norm = _sweep_maps(mesh, arc)
     uniq = {a.values: a for pair in pairs for a in pair}
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        maps = dict(zip(uniq, ex.map(lambda a: dtn_matrix(mesh, a, arc=arc),
-                                     uniq.values())))
+        maps = dict(zip(uniq, ex.map(build, uniq.values())))
 
-    if pairs:
-        gram_half = maps[pairs[0][0].values].gram_half()
     out = []
     for a1, a2 in pairs:
         E = a1.max_jump(a2)
-        eps = operator_norm(maps[a1.values].matrix - maps[a2.values].matrix, gram_half)
+        eps = norm(maps[a1.values] - maps[a2.values])
         ratio = E / eps if eps > 0 else math.nan
         out.append(SweepRecord(E, eps, ratio, mesh.h))
     return out

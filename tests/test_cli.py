@@ -176,6 +176,28 @@ def test_sweep_experiment_with_threads(tmp_path):
     assert ratios[1] > ratios[0]      # deeper strip is harder to see
 
 
+def test_bottom_arc_sweep_csv_is_the_same_at_one_and_two_threads(tmp_path):
+    cfg = write_config(tmp_path, {
+        "version": 1,
+        "experiment": "sweep",
+        "partition": {"n_strips": 3, "with_extension": True},
+        "mesh": {"h": 1 / 30},
+        "admittivities": [
+            {"values": [[1.2, 0.3], [1.9, -0.5], [0.8, 0.1]], "lambda": 10.0},
+            {"values": [[1.5, 0.3], [1.9, -0.5], [0.8, 0.1]], "lambda": 10.0},
+            {"values": [[1.2, 0.3], [1.6, -0.2], [0.8, 0.1]], "lambda": 10.0},
+            {"values": [[1.2, 0.3], [1.9, -0.5], [1.1, 0.4]], "lambda": 10.0},
+        ],
+        "params": {"arc": "bottom"},
+    })
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        bodies.append((out / "sweep.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     def broken(scn, rng):
         raise cli.NumericFailure("synthetic breakdown")

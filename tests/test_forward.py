@@ -398,3 +398,15 @@ def test_point_location_edge_cases():
                 u.gradient_at(np.array(p))
             with pytest.raises(GeometryError, match="outside the meshed domain"):
                 u.interpolate(np.array([[0.0, 0.0], p]))
+
+
+def test_region_stiffness_forms_the_triangle_points_once(monkeypatch):
+    # the hat gradients and the areas read one array of triangle points
+    m = el.generate_mesh(el.build_partition(2), 1 / 16)
+    calls = []
+    points = Mesh.tri_points
+    monkeypatch.setattr(Mesh, "tri_points", lambda mesh: calls.append(mesh) or points(mesh))
+    region_stiffness(m)
+    assert len(calls) == 1
+    fresh = el.generate_mesh(el.build_partition(2), 1 / 16)
+    assert np.array_equal(m.areas(), fresh.areas())

@@ -596,6 +596,22 @@ def test_corrector_load_on_a_read_back_mesh_matches_exact_area_load(load_meshes,
         assert diff <= bound
 
 
+def test_corrector_load_forms_each_link_terms_once(load_meshes):
+    # gtilde and its jumps depend on the link alone: a solver that has served
+    # other sources gives each source the load a fresh solver gives it
+    for mesh in load_meshes[1 / 32]:
+        served = CorrectorSolver(mesh, _LOAD_GAMMA)
+        loads = [served._load(np.array(y), None if mesh.partition is None else link, check)
+                 for y, link, check in _LOAD_SOURCES.values()]
+        for (y, link, check), (_, trace, load) in zip(_LOAD_SOURCES.values(), loads):
+            _, fresh_trace, fresh_load = CorrectorSolver(mesh, _LOAD_GAMMA)._load(
+                np.array(y), None if mesh.partition is None else link, check)
+            assert np.array_equal(trace, fresh_trace) and np.array_equal(load, fresh_load)
+        links = {(sol.iface_y, sol.coeffs) for sol, _, _ in loads}
+        assert set(served._links) == links
+        assert len(links) == (1 if mesh.partition is None else 2)
+
+
 def test_jump_edges_are_the_interface_edges(load_meshes):
     def pairs(e):
         return set(map(tuple, np.sort(e, axis=1).tolist()))

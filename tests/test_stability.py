@@ -5,8 +5,8 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import eitlab as el
-from eitlab import forward
-from eitlab.dtn import dtn_matrix, h_half_gram
+from eitlab import dtn, forward
+from eitlab.dtn import dtn_matrix, h_half_gram, operator_norm
 from eitlab.forward import Admittivity, FemSystem, assemble, region_stiffness
 from eitlab.stability import (TAU, ConstantTracker, TowerFloat, _project_admissible,
                               constant_bound, delta_recursion, gauss_newton_reconstruct,
@@ -492,6 +492,58 @@ def test_sweep_depth_monotone_with_local_data():
     recs = stability_sweep(pairs, m, arc=np.arange(nx))
     ratios = [r.ratio for r in recs]
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+def _count_dtn_matrix(monkeypatch):
+    calls = []
+    build = dtn.dtn_matrix
+    monkeypatch.setattr(dtn, "dtn_matrix", lambda *args, **kwargs: (
+        calls.append(args[1].values) or build(*args, **kwargs)))
+    return calls
+
+
+_SWEEP_BASE = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+_SWEEP_PAIRS = [(_SWEEP_BASE, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 1.1 + 0.4j])),
+                (_SWEEP_BASE, Admittivity([1.2 + 0.3j, 1.5 - 0.2j, 0.8 + 0.1j])),
+                (_SWEEP_BASE, Admittivity([1.6 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j]))]
+
+
+@pytest.mark.parametrize("with_extension", [False, True], ids=["plain", "ext"])
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64, 1 / 128, 1 / 30], ids=["h32", "h64", "h128", "h30"])
+def test_bottom_arc_sweep_eps_matches_the_dense_operator_norm(monkeypatch, h, with_extension):
+    # the bottom row of a grid takes mode values and no dense map; its eps is
+    # the operator norm of the dense maps' difference in their arc Gram.
+    # Measured: <= 4.1e-12 relative (h = 1/128 with the extension strip)
+    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
+    arc = np.arange(m.grid.shape[1])
+    dense = {a.values: dtn_matrix(m, a, arc=arc) for pair in _SWEEP_PAIRS for a in pair}
+    calls = _count_dtn_matrix(monkeypatch)
+    recs = stability_sweep(_SWEEP_PAIRS, m, arc=arc)
+    assert calls == []
+    for (a1, a2), rec in zip(_SWEEP_PAIRS, recs):
+        d1, d2 = dense[a1.values], dense[a2.values]
+        assert rec.eps == pytest.approx(operator_norm(d1.matrix - d2.matrix, d1.gram_half()),
+                                        rel=1e-10)
+
+
+def test_sweep_takes_the_dense_map_off_the_bottom_row(monkeypatch):
+    # the full loop, an arc that wraps past the first corner, the bottom row
+    # shifted by one position and a mesh without a grid build dense maps
+    m = el.generate_mesh(el.build_partition(3), 1 / 16)
+    nx = m.grid.shape[1]
+    disk = el.generate_disk_mesh(1 / 8)
+    disk_pairs = [(Admittivity([1.0]), Admittivity([2.0 + 0.5j]))]
+    calls = _count_dtn_matrix(monkeypatch)
+    for mesh, pairs, arc in [(m, _SWEEP_PAIRS, None), (m, _SWEEP_PAIRS, np.arange(-3, nx)),
+                             (m, _SWEEP_PAIRS, np.arange(1, nx + 1)),
+                             (disk, disk_pairs, np.arange(8))]:
+        calls.clear()
+        stability_sweep(pairs, mesh, arc=arc)
+        uniq = {a.values for pair in pairs for a in pair}
+        assert len(calls) == len(uniq) and set(calls) == uniq
+    calls.clear()
+    stability_sweep(_SWEEP_PAIRS, m, arc=np.arange(nx))
+    assert calls == []
 
 
 def test_sweep_threads_consistent():
