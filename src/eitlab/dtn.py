@@ -7,7 +7,9 @@ p.  Fractional Sobolev norms on the boundary come from the generalized
 eigenpairs of the 1D boundary mass/stiffness pencil: W_s = M V (I + D)^s V^T M
 with B V = M V D, so W_0 = M and W_1 = M + B.
 
-The Schur complement is `FemSystem.schur`, which owns both solver back ends.
+The Schur complement is `FemSystem.schur`, which owns both solver back ends
+and forms only the full map; the map of an arc is its principal block on the
+arc's interior nodes, with M and B sliced alike.
 
 The operator norm of a DtN difference is the largest singular value of
 L^{-1} Delta L^{-T} for the Cholesky factor W_{1/2} = L L^T, which realizes
@@ -36,6 +38,7 @@ __all__ = [
     "DtNMap",
     "boundary_operators",
     "dtn_matrix",
+    "bottom_gram",
     "apply_dtn",
     "h_half_gram",
     "operator_norm",
@@ -58,27 +61,15 @@ class DtNMap:
 
 def boundary_operators(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Mass and 1D Laplace-Beltrami stiffness on the closed boundary loop."""
-    return _loop_block(mesh, np.arange(len(mesh.boundary_nodes)))
-
-
-def _loop_block(mesh: Mesh, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal block of `boundary_operators` on distinct loop `positions`
-    (each in [-nb, nb)), formed from the loop's edge lengths alone."""
     pts = mesh.nodes[mesh.boundary_nodes]
     ell = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)   # edge i -> i+1
-    nb, m = len(ell), len(positions)
-    p = np.mod(positions, nb)
-    i = np.arange(m)
+    i = np.arange(len(ell))
     j = np.roll(i, -1)
-    on = np.mod(p + 1, nb) == p[j]      # j follows i on the loop: edge p[i] joins them
-    i, j, e = i[on], j[on], ell[p[on]]
-    M = np.zeros((m, m))
-    B = np.zeros((m, m))
-    # node p closes edge p-1 and opens edge p
-    M[np.diag_indices(m)] = ell[p - 1] / 3.0 + ell[p] / 3.0
-    M[i, j] = M[j, i] = e / 6.0
-    B[np.diag_indices(m)] = 1.0 / ell[p - 1] + 1.0 / ell[p]
-    B[i, j] = B[j, i] = -(1.0 / e)
+    # node i closes edge i-1 and opens edge i, which joins it to node j
+    M = np.diag(ell[i - 1] / 3.0 + ell / 3.0)
+    B = np.diag(1.0 / ell[i - 1] + 1.0 / ell)
+    M[i, j] = M[j, i] = ell / 6.0
+    B[i, j] = B[j, i] = -(1.0 / ell)
     return M, B
 
 
@@ -110,13 +101,17 @@ def dtn_matrix(mesh: Mesh, adm: Admittivity, arc=None) -> DtNMap:
     [-nb, nb) for nb boundary nodes; a negative one counts from the end) the
     result is the full map's principal block on the arc's interior nodes,
     with M and B restricted alike, so its Gram encodes traces supported on
-    the arc.  Only the arc's columns are computed.
+    the arc.  The full map is formed either way.
     """
     positions = _arc_interior(mesh, arc)
-    M, B = boundary_operators(mesh) if positions is None else _loop_block(mesh, positions)
-    key = None if positions is None else tuple(positions.tolist())
-    return DtNMap(matrix=assemble(mesh, adm).schur(positions), mass=M, stiffness=B,
-                  mesh=mesh, positions=key)
+    matrix = assemble(mesh, adm).schur()
+    M, B = boundary_operators(mesh)
+    key = None
+    if positions is not None:
+        sub = np.ix_(positions, positions)
+        matrix, M, B = matrix[sub], M[sub], B[sub]
+        key = tuple(positions.tolist())
+    return DtNMap(matrix=matrix, mass=M, stiffness=B, mesh=mesh, positions=key)
 
 
 def bottom_gram(mesh: Mesh) -> np.ndarray:
@@ -126,11 +121,14 @@ def bottom_gram(mesh: Mesh) -> np.ndarray:
     The arc's M and B are tridiagonal Toeplitz, so the sine transform S
     diagonalizes both, with modes mu_M and mu_B; the pencil's eigenvectors
     are then the columns of S / mu_M^{1/2} and W_{1/2} = S diag(w) S with
-    w_k = mu_M (1 + mu_B / mu_M)^{1/2}.
+    w_k = mu_M (1 + mu_B / mu_M)^{1/2}.  Both are read from the two boundary
+    edges at the arc's first interior node.
     """
-    M, B = _loop_block(mesh, np.arange(1, 3))     # first interior node, its neighbour
+    pts = mesh.nodes[mesh.boundary_nodes[:3]]
+    ell = np.linalg.norm(pts[1:] - pts[:-1], axis=1)     # edges 0 -> 1 and 1 -> 2
     n = mesh.grid.shape[1] - 2
-    mass, stiff = _sine_modes(M[0, 0], M[0, 1], n), _sine_modes(B[0, 0], B[0, 1], n)
+    mass = _sine_modes(ell[0] / 3.0 + ell[1] / 3.0, ell[1] / 6.0, n)
+    stiff = _sine_modes(1.0 / ell[0] + 1.0 / ell[1], -(1.0 / ell[1]), n)
     return mass * np.sqrt(1.0 + stiff / mass)
 
 
@@ -142,7 +140,8 @@ def _sweep_maps(mesh: Mesh, arc=None):
     corner, a map is its n sine-mode values (`forward.bottom_modes`).  Its
     Gram has the modes `bottom_gram` in the same basis, so the norm of a
     difference is max_k |delta_k| / w_k, with no dense matrix.  Any other arc
-    or mesh takes the dense map and `operator_norm`.
+    or mesh takes the dense map and the norm of `operator_norm`, whitened by
+    the Cholesky factor that `_gram_and_chol` keeps.
     """
     positions = _arc_interior(mesh, arc)
     grid = mesh.grid
@@ -153,7 +152,7 @@ def _sweep_maps(mesh: Mesh, arc=None):
             (lambda delta: float(np.abs(delta / w).max()))
     key = None if positions is None else tuple(positions.tolist())
     return (lambda adm: dtn_matrix(mesh, adm, arc=arc).matrix), \
-        (lambda delta: operator_norm(delta, _gram_and_chol(mesh, key)[0]))
+        (lambda delta: float(sla.svdvals(_whiten(_gram_and_chol(mesh, key)[1], delta))[0]))
 
 
 def apply_dtn(system: FemSystem, trace) -> np.ndarray:
@@ -185,8 +184,10 @@ def _gram_and_chol(mesh: Mesh, positions=None) -> tuple[np.ndarray, np.ndarray]:
     mesh and arc, and read-only."""
     key = ("gram_and_chol", positions)
     if key not in mesh._cache:
-        M, B = boundary_operators(mesh) if positions is None else \
-            _loop_block(mesh, np.array(positions))
+        M, B = boundary_operators(mesh)
+        if positions is not None:
+            sub = np.ix_(positions, positions)
+            M, B = M[sub], B[sub]
         W = h_half_gram(M, B, 0.5)
         L = sla.cholesky(W, lower=True)
         W.flags.writeable = L.flags.writeable = False

@@ -10,8 +10,8 @@ its boundary Schur complement and of that complement's derivatives in the
 strip values, from how the mesh was built: sine modes exactly when the mesh
 records its node grid (`Mesh.grid`, which only `generate_mesh` sets), with no
 factorization, and SuperLU on a disk, `read_mesh` or hand-built mesh.
-Either way a full map keeps its interior solve on the system, and the
-derivatives read it.
+Either way `schur` forms the full map, whose principal blocks are the arcs'
+maps, and keeps its interior solve on the system for the derivatives.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .geometry import GeometryError, Mesh, _signed_areas, _write_csv
+from .geometry import GeometryError, Mesh, _signed_areas
 from .quadrature import clipped_quadrature
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "region_stiffness",
     "assemble",
     "FemSystem",
+    "bottom_modes",
     "boundary_trace",
     "solve_dirichlet",
     "solve_real_system",
@@ -245,30 +246,26 @@ def _ring_couplings(K, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
     return np.asarray(K[grid[rows, cols], ring]).ravel()
 
 
-def _ring_gather(ends: np.ndarray, full, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _ring_gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """sum_k S[i, k] S[j, k] M_k[r, s] between the ring neighbours, at node
     row r, column i and row s, column j, of the boundary nodes at grid
-    positions (rows, cols), for symmetric per-mode matrices M_k.
+    positions (rows, cols), for symmetric per-mode matrices M_k, given as
+    `M[k]`.
 
-    S is the orthonormal type-I sine transform along the node rows.
-    `ends[k, :, e]` is M_k's first (e = 0) or last (e = 1) column, and
-    `full()` returns every M_k; it is called only when a side column of the
-    ring is asked for.  The result is gathered from fixed blocks, one per
-    pair of segments and each computed the same way whichever positions ask
-    for it, so a principal block is bitwise the full ring's.
+    S is the orthonormal type-I sine transform along the node rows.  The
+    result is gathered from one block per pair of ring segments.
     """
-    n, m = ends.shape[:2]
+    n, m = M.shape[:2]
     # ring segment (bottom row, top row, left column, right column) and the
     # position along it; a corner takes the end of its row, where it couples to nothing
     seg = np.select([rows == 0, rows == m + 1, cols == 0], [0, 1, 2], 3)
     along = np.where(seg < 2, np.clip(cols, 1, n), rows) - 1
     k = np.arange(1, n + 1)
     S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
-    present = np.unique(seg)
+    ends = M[:, :, [0, m - 1]]                     # each M_k's first and last column
     edge = S[[0, -1]]                              # sine weights of the ring columns
-    if present[-1] >= 2:
-        weights = (edge[:, None, :] * edge[None, :, :]).reshape(4, n)
-        sides = (weights @ full().reshape(n, m * m)).reshape(2, 2, m, m)
+    weights = (edge[:, None, :] * edge[None, :, :]).reshape(4, n)
+    sides = (weights @ M.reshape(n, m * m)).reshape(2, 2, m, m)
 
     def block(u, v):
         if u < 2 and v < 2:
@@ -279,10 +276,8 @@ def _ring_gather(ends: np.ndarray, full, rows: np.ndarray, cols: np.ndarray) -> 
             return (ends[:, :, v] * edge[u - 2][:, None]).T @ S
         return sides[u - 2, v - 2]
 
-    size = np.where(present < 2, n, m)
-    start = np.concatenate([[0], np.cumsum(size)[:-1]])
-    loc = start[np.searchsorted(present, seg)] + along
-    R = np.block([[block(u, v) for v in present] for u in present])
+    loc = np.array([0, n, 2 * n, 2 * n + m])[seg] + along
+    R = np.block([[block(u, v) for v in range(4)] for u in range(4)])
     return R[np.ix_(loc, loc)]
 
 
@@ -339,7 +334,7 @@ class FemSystem:
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
         self._lu = None
-        self._full = None       # the full map's interior solve: X, or (c, R, G)
+        self._full = None       # schur's interior solve: X, or (c, R, G)
 
     @property
     def lu(self):
@@ -353,40 +348,36 @@ class FemSystem:
         """A_IB, the interior rows' boundary columns, formed once like `lu`."""
         return self.matrix[np.ix_(self.interior, self.boundary)]
 
-    def schur(self, positions=None) -> np.ndarray:
-        """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB.
+    def schur(self) -> np.ndarray:
+        """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB: the full map,
+        whose principal block on an arc's interior nodes is the arc's map.
 
-        With `positions` (indices into the boundary trace order) only the
-        principal block on them is computed.  A mesh with a node grid
-        (`Mesh.grid`, set by `generate_mesh`) takes A_II^-1 on the boundary's
-        ring neighbours from sine modes (`_ring_gather`): its interior nodes
-        are `grid[1:-1, 1:-1]`, and each cell is split into two right
-        triangles, so in exact arithmetic every region stiffness couples no
-        diagonal neighbours and is constant along each node row.  The
-        interior block is then a Kronecker sum, and each boundary node
-        couples to the interior only through its neighbour on the ring of
-        interior nodes next to the boundary.  The rows are read at column 1;
-        where the node columns are not evenly spaced in floating point
-        (h = 1/30), the other columns differ in their last bits.  Any other
-        mesh solves A_II^-1 A_IB through SuperLU.
+        A mesh with a node grid (`Mesh.grid`, set by `generate_mesh`) takes
+        A_II^-1 on the boundary's ring neighbours from sine modes
+        (`_ring_gather`): its interior nodes are `grid[1:-1, 1:-1]`, and each
+        cell is split into two right triangles, so in exact arithmetic every
+        region stiffness couples no diagonal neighbours and is constant along
+        each node row.  The interior block is then a Kronecker sum, and each
+        boundary node couples to the interior only through its neighbour on
+        the ring of interior nodes next to the boundary.  The rows are read
+        at column 1; where the node columns are not evenly spaced in floating
+        point (h = 1/30), the other columns differ in their last bits.  Any
+        other mesh solves A_II^-1 A_IB through SuperLU.  Either way the
+        interior solve is kept for `derivatives`.
         """
         A = self.matrix
-        bb = self.boundary if positions is None else self.boundary[positions]
+        bb = self.boundary
         grid = self.mesh.grid       # None: SuperLU
         if grid is None:
-            A_ib = self._a_ib if positions is None else self._a_ib[:, positions]
-            X = self.lu.solve(A_ib.toarray())
-            if positions is None:
-                self._full = X
+            X = self.lu.solve(self._a_ib.toarray())
+            self._full = X
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
         rows, cols = np.divmod(bb, grid.shape[1])
         c = _ring_couplings(A, grid, rows, cols)
         T, off = _mode_tridiagonal(A, grid)
-        m = T.shape[1]
-        green = functools.cache(lambda: _mode_green(T, off, range(m)))
-        R = _ring_gather(_mode_green(T, off, [0, m - 1]), green, rows, cols)
-        if positions is None:
-            self._full = (c, R, green())
+        G = _mode_green(T, off, range(T.shape[1]))
+        R = _ring_gather(G, rows, cols)
+        self._full = (c, R, G)
         return A[np.ix_(bb, bb)].toarray() - c[:, None] * R * c[None, :]
 
     def derivatives(self) -> list:
@@ -421,7 +412,6 @@ class FemSystem:
 
         c, R, G = self._full
         rows, cols = np.divmod(bb, grid.shape[1])
-        m = G.shape[1]
         out = []
         for K in strips:
             Tj, offj = _mode_tridiagonal(K, grid)
@@ -432,7 +422,7 @@ class FemSystem:
             TG[:, :-1] += offj[lo:hi - 1, None] * G[:, lo + 1:hi]
             P = G[:, :, lo:hi] @ TG
             cj = _ring_couplings(K, grid, rows, cols)
-            PR = _ring_gather(P[:, :, [0, m - 1]], lambda: P, rows, cols)
+            PR = _ring_gather(P, rows, cols)
             out.append(K[np.ix_(bb, bb)].toarray() - cj[:, None] * R * c[None, :]
                        - c[:, None] * R * cj[None, :] + c[:, None] * PR * c[None, :])
         return out
@@ -619,9 +609,6 @@ class FieldSolution:
         rows = [(i, float(x), float(y), v.real, v.imag)
                 for i, ((x, y), v) in enumerate(zip(self.mesh.nodes, self.values))]
         return ("node_index", "x", "y", "re_u", "im_u"), rows
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, *self.table())
 
 
 def field_from_function(mesh: Mesh, fn) -> FieldSolution:

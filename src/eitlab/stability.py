@@ -207,10 +207,6 @@ class TowerFloat:
     def __lt__(self, other: "TowerFloat") -> bool:
         return self._key() < other._key()
 
-    def ge_times(self, other: "TowerFloat", q: float) -> bool:
-        """self >= q * other, robust at any magnitude."""
-        return other.mul(q)._key() <= self._key()
-
     def __repr__(self) -> str:
         c = self._canonical()
         if c.depth == 0:

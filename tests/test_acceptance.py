@@ -140,7 +140,7 @@ def test_criterion_7_constant_tracker():
     bounds = [constant_bound(N, tracker) for N in range(1, 7)]
     log10_1 = bounds[0].log10.to_float()
     increasing = all(a.log10 < b.log10 for a, b in zip(bounds, bounds[1:]))
-    geometric = all(b.log10.ge_times(a.log10, 2.0)
+    geometric = all(not (b.log10 < a.log10.mul(2.0))
                     for a, b in zip(bounds, bounds[1:]))
     ok = abs(log10_1 - 110.9) <= 0.1 and increasing and geometric
     report(7, ok, f"N=1 log10 bound {log10_1:.4f} (110.9 +/- 0.1); "

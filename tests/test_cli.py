@@ -204,7 +204,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.EXPERIMENTS, "forward",
                         (broken,) + cli.EXPERIMENTS["forward"][1:])
     cfg = write_config(tmp_path, BASE_FORWARD)
-    assert cli.main(["run", str(cfg)]) == 3
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_asymptotics_experiment(tmp_path):

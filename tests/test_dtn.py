@@ -155,13 +155,23 @@ def _bottom_arc(m):
     return np.arange(int(np.sum(y == y.min())))
 
 
-@pytest.mark.parametrize("with_extension", [False, True])
-@pytest.mark.parametrize("kind", ["bottom", "wrapping"])
-def test_dtn_matrix_arc_is_principal_block_of_full_map(kind, with_extension):
-    # only the arc's columns are computed, each ring block the same way
-    # whichever positions ask for it, so the block is bitwise the full map's
-    m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
-    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+@pytest.mark.parametrize("kind, with_extension", [
+    *[(kind, ext) for kind in ("bottom", "wrapping") for ext in (False, True)],
+    pytest.param("disk", False, id="disk"),
+    pytest.param("read-back", True, id="read-back"),
+])
+def test_dtn_matrix_arc_is_principal_block_of_full_map(tmp_path, kind, with_extension):
+    # an arc's map, M and B are the full loop's principal blocks on the arc's
+    # interior, on sine-mode grids and on SuperLU meshes (disk, read-back)
+    if kind == "disk":
+        m, a = el.generate_disk_mesh(1 / 32), Admittivity([1.3 - 0.4j])
+    else:
+        m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
+        if kind == "read-back":
+            el.write_mesh(m, tmp_path / "mesh.txt")
+            m = el.read_mesh(tmp_path / "mesh.txt")
+        a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    assert (m.grid is None) == (kind in ("disk", "read-back"))
     full = dtn_matrix(m, a)
     nb = len(full.matrix)
     arc = _bottom_arc(m) if kind == "bottom" else np.arange(nb - 7, nb + 20) % nb

@@ -104,7 +104,6 @@ def test_tower_float_basics():
     assert TowerFloat.from_float(3.0) < TowerFloat.from_float(4.0)
     assert TowerFloat.from_float(700.0) < c
     assert c.mul(10.0)._key() > c._key()
-    assert c.ge_times(c, 1.0)
 
 
 def test_constant_bound_single_region():
@@ -126,7 +125,7 @@ def test_constant_bound_monotone_geometric():
     bounds = [constant_bound(N, tracker) for N in range(1, 7)]
     for a, b in zip(bounds, bounds[1:]):
         assert a.log10 < b.log10
-        assert b.log10.ge_times(a.log10, 2.0)
+        assert not (b.log10 < a.log10.mul(2.0))
 
 
 def test_constant_bound_branch_precondition():
@@ -248,8 +247,8 @@ def test_strip_derivatives_match_superlu_oracle_without_factorizing(monkeypatch,
 
 @pytest.mark.parametrize("with_extension", [False, True])
 def test_strip_derivatives_read_the_green_functions_schur_kept(monkeypatch, with_extension):
-    # a full map forms every mode's Green function G_k = T_k^-1 once and the
-    # derivative columns read it; a bottom-edge arc forms only its end columns
+    # schur forms every mode's Green function G_k = T_k^-1 in one sweep over
+    # all its columns, and the derivative columns read it
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), 1 / 32)
     a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
     assert m.grid is not None
@@ -260,15 +259,12 @@ def test_strip_derivatives_read_the_green_functions_schur_kept(monkeypatch, with
         all_columns.append(len(columns) == diag.shape[1]) or green(diag, off, columns)))
     system = assemble(m, a)
     system.schur()
+    assert all_columns == [True]
     cols = system.derivatives()
-    assert all_columns.count(True) == 1
+    assert all_columns == [True]
     assert len(cols) == len(alone) == 3
     for c, ref in zip(cols, alone):
         assert np.array_equal(c, ref)
-    all_columns.clear()
-    y = m.nodes[m.boundary_nodes, 1]
-    dtn_matrix(m, a, arc=np.arange(int(np.sum(y == y.min()))))
-    assert all_columns == [False]
 
 
 def test_boundary_gram_is_formed_once_per_mesh_and_read_only():
