@@ -361,7 +361,11 @@ def _run_reconstruct(scn: Scenario, rng):
         S = worst_case_perturbation(sens)
         noise_rows = []
         for eta in levels:
-            r = gauss_newton_reconstruct(target + eta * S, scn.mesh, guess,
+            with np.errstate(over="ignore"):
+                noisy = target + eta * S
+            if not np.isfinite(noisy).all():
+                raise NumericFailure(f"noise level {eta}: perturbed DtN map is not finite")
+            r = gauss_newton_reconstruct(noisy, scn.mesh, guess,
                                          max_iter=max_iter, truth=truth)
             noise_rows.append((eta, r.history[-1][1], r.admittivity.max_jump(truth)))
         files["noise_sweep.csv"] = (("eta", "misfit", "err_inf"), noise_rows)

@@ -4,14 +4,17 @@ coefficients and Dirichlet data.
 The stiffness matrix is assembled exactly: the coefficient is constant per
 region, so each element contributes its real Laplace stiffness scaled by the
 region value, and the global matrix is an affine combination of per-region
-real matrices.  Systems are complex symmetric (plain transpose) and solved by
-sparse LU on the interior block.  `FemSystem` alone chooses the back end of
-its boundary Schur complement and of that complement's derivatives in the
-strip values, from how the mesh was built: sine modes exactly when the mesh
-records its node grid (`Mesh.grid`, which only `generate_mesh` sets), with no
-factorization, and SuperLU on a disk, `read_mesh` or hand-built mesh.
-Either way `schur` forms the full map, whose principal blocks are the arcs'
-maps, and keeps its interior solve on the system for the derivatives.
+real matrices (`_combine`).  Systems are complex symmetric (plain transpose)
+and solved by sparse LU on the interior block.  `FemSystem` alone chooses the
+back end of its boundary Schur complement and of that complement's
+derivatives in the strip values, from how the mesh was built: sine modes
+exactly when the mesh records its node grid (`Mesh.grid`, which only
+`generate_mesh` sets), and SuperLU on a disk, `read_mesh` or hand-built mesh.
+Sine modes combine each region's couplings, read once per mesh, with no
+factorization or assembly: `FemSystem.matrix` is assembled when a solve or
+SuperLU first reads it.  Either way `schur` forms the full map, whose
+principal blocks are the arcs' maps, and keeps its interior solve on the
+system for the derivatives.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -186,16 +189,38 @@ def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
     return out
 
 
-def _row_coefficients(K, grid: np.ndarray):
-    """Diagonal and horizontal coupling of each node row, and the vertical
-    coupling of each pair of consecutive rows, read at column 1 of the
-    row-major node `grid`."""
-    col = grid[:, 1]
+def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
+    """Each region's couplings that the sine modes read, once per mesh with a
+    node grid: dicts from label to the diagonal and horizontal coupling of
+    each node row and the vertical coupling of each pair of consecutive rows,
+    all at column 1, and to each boundary node's coupling to its neighbour on
+    the ring of interior nodes (exactly 0 at the four corners)."""
+    if "grid_couplings" not in mesh._cache:
+        grid, bb = mesh.grid, mesh.boundary_nodes
+        col = grid[:, 1]
+        rows, cols = np.divmod(bb, grid.shape[1])
+        ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
+        pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
+        mesh._cache["grid_couplings"] = tuple(
+            {lbl: np.asarray(K[p, q]).ravel() for lbl, K in region_stiffness(mesh).items()}
+            for p, q in pairs)
+    return mesh._cache["grid_couplings"]
 
-    def at(p, q):
-        return np.asarray(K[p, q]).ravel()
 
-    return at(col, col), at(col, grid[:, 0]), at(col[:-1], col[1:])
+def _boundary_blocks(mesh: Mesh) -> dict:
+    """Each region's K_BB, read once per mesh like `_grid_couplings`."""
+    if "boundary_blocks" not in mesh._cache:
+        bb = mesh.boundary_nodes
+        mesh._cache["boundary_blocks"] = {
+            lbl: K[np.ix_(bb, bb)] for lbl, K in region_stiffness(mesh).items()}
+    return mesh._cache["boundary_blocks"]
+
+
+def _combine(adm: Admittivity, parts: dict):
+    """sum_j gamma_j X_j over the region labels j, in label order: the
+    stiffness when X_j = K_j, and, entry for entry the same sums, bit for bit
+    its entries when X_j are K_j's couplings or blocks."""
+    return sum(adm.value_for(lbl) * X for lbl, X in parts.items())
 
 
 def _sine_modes(diag, off, n: int) -> np.ndarray:
@@ -228,22 +253,6 @@ def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
     for r in range(m - 2, -1, -1):
         x[r] = (x[r] - off[r] * x[r + 1]) / piv[r, :, None]
     return x.transpose(1, 0, 2)
-
-
-def _mode_tridiagonal(K, grid: np.ndarray):
-    """The tridiagonal T_k that the orthonormal type-I sine transform S along
-    each node row makes of K's interior block, one per mode k: its diagonals,
-    one row per mode, and the off-diagonal that every mode shares (Buzbee,
-    Golub and Nielson 1970)."""
-    diag, horiz, vert = _row_coefficients(K, grid)
-    return _sine_modes(diag[1:-1], horiz[1:-1], grid.shape[1] - 2), vert[1:-1]
-
-
-def _ring_couplings(K, grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """K between each boundary node at grid position (rows, cols) and its
-    neighbour on the ring of interior nodes; exactly 0 at the four corners."""
-    ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
-    return np.asarray(K[grid[rows, cols], ring]).ravel()
 
 
 def _ring_gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -292,8 +301,7 @@ def _check_labels(mesh: Mesh, adm: Admittivity) -> None:
 
 def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
     """Complex stiffness: sum over the mesh's region labels j of gamma_j K_j."""
-    parts = region_stiffness(mesh)
-    return sum(adm.value_for(lbl) * parts[lbl].astype(complex) for lbl in parts).tocsr()
+    return _combine(adm, region_stiffness(mesh))
 
 
 def bottom_modes(mesh: Mesh, adm: Admittivity) -> np.ndarray:
@@ -306,35 +314,32 @@ def bottom_modes(mesh: Mesh, adm: Admittivity) -> np.ndarray:
     G the block of A_II^-1 on that row, whose sine mode k is [T_k^-1]_00.  So
     the orthonormal type-I sine transform S along the row diagonalizes it:
     S Lam S has diagonal lam_k = d + 2 e cos(k pi / (n + 1)) - c^2 [T_k^-1]_00.
-    The row couplings are linear in the strip values; each region's are read
-    once per mesh, so no stiffness is assembled.
+    The row couplings are linear in the strip values and combine each
+    region's from `_grid_couplings`, so no stiffness is assembled.
     """
     _check_labels(mesh, adm)
-    grid = mesh.grid
-    if "row_coefficients" not in mesh._cache:
-        parts = region_stiffness(mesh)
-        rows = [_row_coefficients(K, grid) for K in parts.values()]
-        mesh._cache["row_coefficients"] = list(parts), [np.array(c) for c in zip(*rows)]
-    labels, coefficients = mesh._cache["row_coefficients"]
-    gammas = np.array([adm.value_for(lbl) for lbl in labels])
-    diag, horiz, vert = (gammas @ c for c in coefficients)
-    modes = _sine_modes(diag, horiz, grid.shape[1] - 2)      # every node row
+    diag, horiz, vert = (_combine(adm, x) for x in _grid_couplings(mesh)[:3])
+    modes = _sine_modes(diag, horiz, mesh.grid.shape[1] - 2)      # every node row
     green = _mode_green(modes[:, 1:-1], vert[1:-1], [0])[:, 0, 0]
     return modes[:, 0] - vert[0] ** 2 * green                # vert[0] is c
 
 
 class FemSystem:
-    """Assembled complex-symmetric stiffness with a factorized interior block."""
+    """Complex-symmetric stiffness with a factorized interior block."""
 
     def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh
         self.adm = adm
         _check_labels(mesh, adm)
-        self.matrix = stiffness(mesh, adm)
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
         self._lu = None
         self._full = None       # schur's interior solve: X, or (c, R, G)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The complex stiffness, assembled on first use."""
+        return stiffness(self.mesh, self.adm)
 
     @property
     def lu(self):
@@ -359,26 +364,27 @@ class FemSystem:
         region stiffness couples no diagonal neighbours and is constant along
         each node row.  The interior block is then a Kronecker sum, and each
         boundary node couples to the interior only through its neighbour on
-        the ring of interior nodes next to the boundary.  The rows are read
-        at column 1; where the node columns are not evenly spaced in floating
-        point (h = 1/30), the other columns differ in their last bits.  Any
-        other mesh solves A_II^-1 A_IB through SuperLU.  Either way the
-        interior solve is kept for `derivatives`.
+        the ring of interior nodes next to the boundary.  These couplings and
+        A_BB combine each region's (`_grid_couplings`, `_boundary_blocks`).
+        The rows are read at column 1; where the node columns are not evenly
+        spaced in floating point (h = 1/30), the other columns differ in their
+        last bits.  Any other mesh solves A_II^-1 A_IB through SuperLU.
+        Either way the interior solve is kept for `derivatives`.
         """
-        A = self.matrix
         bb = self.boundary
         grid = self.mesh.grid       # None: SuperLU
         if grid is None:
+            A = self.matrix
             X = self.lu.solve(self._a_ib.toarray())
             self._full = X
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
-        rows, cols = np.divmod(bb, grid.shape[1])
-        c = _ring_couplings(A, grid, rows, cols)
-        T, off = _mode_tridiagonal(A, grid)
-        G = _mode_green(T, off, range(T.shape[1]))
-        R = _ring_gather(G, rows, cols)
+        diag, horiz, vert, c = (_combine(self.adm, x) for x in _grid_couplings(self.mesh))
+        T = _sine_modes(diag[1:-1], horiz[1:-1], grid.shape[1] - 2)
+        G = _mode_green(T, vert[1:-1], range(T.shape[1]))
+        R = _ring_gather(G, *np.divmod(bb, grid.shape[1]))
         self._full = (c, R, G)
-        return A[np.ix_(bb, bb)].toarray() - c[:, None] * R * c[None, :]
+        A_BB = _combine(self.adm, _boundary_blocks(self.mesh)).toarray()
+        return A_BB - c[:, None] * R * c[None, :]
 
     def derivatives(self) -> list:
         """Derivatives d Lam / d gamma_j of the full Schur complement, one
@@ -396,7 +402,7 @@ class FemSystem:
         if self._full is None:
             self.schur()
         parts = region_stiffness(self.mesh)
-        strips = [parts[j] for j in range(1, self.adm.n + 1)]
+        strips = range(1, self.adm.n + 1)
         grid = self.mesh.grid       # None: SuperLU
         bb = self.boundary
         if grid is None:
@@ -404,7 +410,7 @@ class FemSystem:
             H[bb] = np.eye(len(bb))
             H[self.interior] = -self._full
             out = []
-            for K in strips:
+            for K in (parts[j] for j in strips):
                 nodes = np.flatnonzero(np.diff(K.indptr))
                 Hj = H[nodes]
                 out.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
@@ -412,18 +418,20 @@ class FemSystem:
 
         c, R, G = self._full
         rows, cols = np.divmod(bb, grid.shape[1])
+        diag, horiz, vert, ring = _grid_couplings(self.mesh)
+        blocks = _boundary_blocks(self.mesh)
         out = []
-        for K in strips:
-            Tj, offj = _mode_tridiagonal(K, grid)
+        for j in strips:
+            Tj = _sine_modes(diag[j][1:-1], horiz[j][1:-1], grid.shape[1] - 2)
+            offj, cj = vert[j][1:-1], ring[j]
             on = np.flatnonzero(Tj.any(axis=0))
             lo, hi = on[0], on[-1] + 1          # strip j's node rows
             TG = Tj[:, lo:hi, None] * G[:, lo:hi]
             TG[:, 1:] += offj[lo:hi - 1, None] * G[:, lo:hi - 1]
             TG[:, :-1] += offj[lo:hi - 1, None] * G[:, lo + 1:hi]
             P = G[:, :, lo:hi] @ TG
-            cj = _ring_couplings(K, grid, rows, cols)
             PR = _ring_gather(P, rows, cols)
-            out.append(K[np.ix_(bb, bb)].toarray() - cj[:, None] * R * c[None, :]
+            out.append(blocks[j].toarray() - cj[:, None] * R * c[None, :]
                        - c[:, None] * R * cj[None, :] + c[:, None] * PR * c[None, :])
         return out
 

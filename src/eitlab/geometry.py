@@ -223,10 +223,11 @@ def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
 
 
 def build_chain(p: Partition, target: int) -> Chain:
-    """Shortest chain of regions from the boundary strip to `target`.
+    """Chain of regions from the boundary strip to `target`.
 
     The chain starts at the extension strip when present, otherwise at strip 1,
-    and moves through listed interfaces only.
+    and passes through every strip up to `target`; each interface it crosses
+    must be listed.
     """
     labels = set(p.labels)
     if target not in labels:
@@ -234,35 +235,14 @@ def build_chain(p: Partition, target: int) -> Chain:
     start = 0 if p.with_extension else 1
     if start not in labels:
         raise NoChainError(f"start region {start} not in partition labels {sorted(labels)}")
-
-    adj: dict[int, list[tuple[int, int]]] = {lbl: [] for lbl in labels}
-    for s in p.interfaces:
-        if s.below is not None and s.below in labels and s.above in labels:
-            adj[s.below].append((s.above, s.index))
-            adj[s.above].append((s.below, s.index))
-
-    prev: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == target:
-            break
-        for nxt, link in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = (cur, link)
-                queue.append(nxt)
-    if target not in seen:
+    # the regions are stacked strips and interface k joins regions k-1 and k
+    step = 1 if target >= start else -1
+    regions = tuple(range(start, target + step, step))
+    links = tuple(max(a, b) for a, b in zip(regions, regions[1:]))
+    joined = {s.index for s in p.interfaces if s.below in labels and s.above in labels}
+    if not joined.issuperset(links):
         raise NoChainError(f"region {target} is not reachable from region {start}")
-
-    regions = [target]
-    links = []
-    while regions[-1] != start:
-        cur, link = prev[regions[-1]]
-        links.append(link)
-        regions.append(cur)
-    return Chain(regions=tuple(reversed(regions)), links=tuple(reversed(links)))
+    return Chain(regions=regions, links=links)
 
 
 @dataclass

@@ -265,7 +265,10 @@ def constant_bound(N: int, tracker: ConstantTracker) -> ConstantBound:
             "starting value 1/(2(C+1)^N) is outside the invertible branch")
     p = 4.0 / (n - 2)
     L = TowerFloat.from_float(L0)
-    for _ in range(N):
+    for step in range(N):
+        if L.depth >= 3:    # mul leaves such a tower as it is, so each step adds a level
+            L = TowerFloat(L.depth + N - step, L.value)
+            break
         L = L.mul(p).exp()
     ln_bound = L.add_float(-math.log(2.0))
     return ConstantBound(N, ln_bound.mul(1.0 / math.log(10.0)))
@@ -408,7 +411,8 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
     `target` is a DtN matrix generated on the same mesh; the misfit is the
     Frobenius norm of the whitened difference, the step solves the
     linearized complex least-squares problem with the exact Jacobian, and
-    every iterate is projected back onto the admissible set.
+    every iterate is projected back onto the admissible set.  A misfit beyond
+    floats ends the run, last in the history.
     """
     target_mat = np.asarray(target)
     _, L = _gram_and_chol(mesh)
@@ -421,13 +425,14 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
         adm_it = Admittivity(tuple(gam), lam=lam_bound)
         system = assemble(mesh, adm_it)
         rvec = _phi(L, system.schur() - target_mat)
-        misfit = float(np.linalg.norm(rvec))
+        with np.errstate(over="ignore"):        # a misfit beyond floats ends the run
+            misfit = float(np.linalg.norm(rvec))
         err = float(adm_it.max_jump(truth)) if truth is not None else math.nan
         history.append((it, misfit, err))
         if misfit <= tol:
             converged = True
             break
-        if it == max_iter:
+        if it == max_iter or not math.isfinite(misfit):
             break
         # only an iterate that steps forms its derivative columns
         dgam, *_ = np.linalg.lstsq(_jacobian(L, system.derivatives()), -rvec, rcond=None)

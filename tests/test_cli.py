@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,18 @@ def test_constant_bound_experiment(tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(110.878, abs=0.1)
     assert len(lines) == 5
+
+
+def test_constant_bound_takes_a_large_n_max_in_seconds(tmp_path):
+    # each bound jumps to its final tower depth instead of stepping N times
+    cfg = write_config(tmp_path, _with(_CONSTANT_BOUND, ("params", "n_max"), 100000))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 20.0
+    lines = (out / "constant_bound.csv").read_text().splitlines()
+    assert len(lines) == 100001
+    assert lines[-1].startswith("100000,")
 
 
 def test_sweep_experiment_with_threads(tmp_path):
@@ -339,6 +352,7 @@ def _with(base, path, value):
     (_SMOKE["caccioppoli"], ("params", "rho"), -0.1),
     (_SMOKE["reconstruct"], ("params", "max_iter"), -1),
     (_SMOKE["reconstruct"], ("params", "guess"), 5),
+    (_SMOKE["reconstruct"], ("params", "guess"), [[0.01, 0], [1, 0]]),
     (_SWEEP, ("params",), {"pairs": 5}),
     (_ASYMPTOTICS, ("params", "radii_over_r0"), []),
     (_ASYMPTOTICS, ("params", "radii_over_r0"), [0.25]),
@@ -365,6 +379,7 @@ def _with(base, path, value):
         "three-sphere-zero-radius", "three-sphere-no-samples",
         "identity-no-pairs", "caccioppoli-no-samples", "caccioppoli-negative-rho",
         "reconstruct-negative-max-iter", "reconstruct-guess-not-a-list",
+        "reconstruct-guess-outside-ellipticity",
         "sweep-pairs-not-a-list", "asymptotics-no-radii", "asymptotics-one-radius",
         "asymptotics-repeated-radius", "s-rate-one-radius", "sweep-negative-pair-index",
         "sweep-mixed-strip-counts", "experiment-not-a-string", "out-dir-not-a-string",
@@ -407,10 +422,17 @@ def test_sweep_mixed_strip_counts_rejected_at_parse_time_with_two_threads(tmp_pa
     assert "Traceback" not in err
 
 
+_COARSE_RECONSTRUCT = _with(_SMOKE["reconstruct"], ("mesh", "h"), 0.25)
+
+
 @pytest.mark.parametrize("cfg", [
     _with(BASE_FORWARD, ("params", "datum"), {"kind": "harmonic", "degree": -1}),
     _with(_DTN_NORM_OK, ("admittivity_2",), _DTN_NORM_OK["admittivity"]),
-], ids=["forward-pole-at-a-node", "dtn-norm-zero-eps"])
+    _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1e308]),
+    _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1e200]),
+    _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1.7e308]),
+], ids=["forward-pole-at-a-node", "dtn-norm-zero-eps", "reconstruct-noise-1e308",
+        "reconstruct-misfit-overflows", "reconstruct-noisy-map-overflows"])
 def test_nan_output_exits_3(tmp_path, capsys, recwarn, cfg):
     out = tmp_path / "out"
     assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import eitlab as el
-from eitlab.forward import (Admittivity, EllipticityError, assemble,
-                            caccioppoli_ratio, coefficient_tensor,
-                            elasticity_quadratic_form, field_from_function,
-                            region_stiffness, solve_dirichlet, solve_real_system)
+from eitlab.forward import (Admittivity, EllipticityError, _boundary_blocks, _combine,
+                            _grid_couplings, assemble, bottom_modes, caccioppoli_ratio,
+                            coefficient_tensor, elasticity_quadratic_form,
+                            field_from_function, region_stiffness, solve_dirichlet,
+                            solve_real_system, stiffness)
 from eitlab.geometry import GeometryError, Mesh, _write_csv
 from eitlab.stability import random_harmonic_polynomial
 
@@ -410,3 +411,52 @@ def test_region_stiffness_forms_the_triangle_points_once(monkeypatch):
     assert len(calls) == 1
     fresh = el.generate_mesh(el.build_partition(2), 1 / 16)
     assert np.array_equal(m.areas(), fresh.areas())
+
+
+@pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (3, False, 1 / 32)],
+                         ids=["h30-extension", "dyadic"])
+def test_combined_grid_couplings_are_the_assembled_entries_bit_for_bit(n, ext, h):
+    # each region's couplings, combined in label order, sum every entry in
+    # the order that assembles the stiffness
+    m = el.generate_mesh(el.build_partition(n, with_extension=ext), h)
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    A = stiffness(m, a)
+    grid, bb = m.grid, m.boundary_nodes
+    col = grid[:, 1]
+    rows, cols = np.divmod(bb, grid.shape[1])
+    ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
+    pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
+    for parts, (p, q) in zip(_grid_couplings(m), pairs):
+        assert _combine(a, parts).tobytes() == np.asarray(A[p, q]).ravel().tobytes()
+    combined = _combine(a, _boundary_blocks(m)).toarray()
+    assert combined.tobytes() == A[np.ix_(bb, bb)].toarray().tobytes()
+
+
+def test_grid_schur_and_derivatives_assemble_no_stiffness():
+    m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16)
+    system = assemble(m, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j]))
+    system.schur()
+    system.derivatives()
+    assert "matrix" not in system.__dict__
+    # a solve assembles on its first call; a SuperLU mesh assembles for schur
+    system.solve(np.ones(len(system.boundary)))
+    assert "matrix" in system.__dict__
+    disk = assemble(el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j]))
+    disk.schur()
+    assert "matrix" in disk.__dict__
+
+
+def test_grid_couplings_are_read_once_per_mesh():
+    m = el.generate_mesh(el.build_partition(2), 1 / 16)
+    bottom_modes(m, Admittivity([1.0, 2.0]))
+    couplings = m._cache["grid_couplings"]
+    assert "boundary_blocks" not in m._cache       # the bottom arc's modes read no K_BB
+    assemble(m, Admittivity([1.0, 2.0])).schur()
+    blocks = m._cache["boundary_blocks"]
+    for values in ([1.0, 2.0], [1.5 + 0.5j, 1.0], [2.0, 1.0 - 0.3j]):
+        system = assemble(m, Admittivity(values))
+        system.schur()
+        system.derivatives()
+        bottom_modes(m, Admittivity(values))
+        assert m._cache["grid_couplings"] is couplings
+        assert m._cache["boundary_blocks"] is blocks

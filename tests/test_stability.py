@@ -128,6 +128,26 @@ def test_constant_bound_monotone_geometric():
         assert not (b.log10 < a.log10.mul(2.0))
 
 
+@pytest.mark.parametrize("dim, C", [(3, 1.0), (3, 1e-6), (4, 5.0), (5, 1e3), (10, 1.0),
+                                    (7, 100.0)])
+def test_constant_bound_matches_the_plain_tower_loop(dim, C):
+    # N inversions of L -> exp(p L), one TowerFloat step each, then the log10
+    tracker = ConstantTracker(n=dim, c_base=C)
+    checked = 0
+    for N in range(1, 400):
+        try:
+            got = constant_bound(N, tracker).log10
+        except ValueError:                 # outside the invertible branch
+            continue
+        L = TowerFloat.from_float(math.log(2.0) + N * math.log(C + 1.0))
+        for _ in range(N):
+            L = L.mul(4.0 / (dim - 2)).exp()
+        ref = L.add_float(-math.log(2.0)).mul(1.0 / math.log(10.0))
+        assert (got.depth, got.value) == (ref.depth, ref.value)
+        checked += 1
+    assert checked > 0
+
+
 def test_constant_bound_branch_precondition():
     # large dimension shrinks the invertible range until the start violates it
     tracker = ConstantTracker(n=10, c_base=0.1)
