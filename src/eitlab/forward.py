@@ -12,7 +12,10 @@ exactly when the mesh records its node grid (`Mesh.grid`, which only
 `generate_mesh` sets), and SuperLU on a disk, `read_mesh` or hand-built mesh.
 Sine modes combine each region's couplings, read once per mesh, with no
 factorization or assembly: `FemSystem.matrix` is assembled when a solve or
-SuperLU first reads it.  Either way `schur` forms the full map, whose
+SuperLU first reads it.  The couplings lie in the rows of grid column 1 and
+of the boundary, so they are read from the band of triangles that touch
+those nodes: each such row sums the same triangles in the same order as the
+whole-mesh assembly, and is bit for bit its row.  Either way `schur` forms the full map, whose
 principal blocks are the arcs' maps, and keeps its interior solve on the
 system for the derivatives.
 
@@ -100,9 +103,7 @@ class Admittivity:
         return self.values[label - 1]
 
     def element_values(self, mesh: Mesh) -> np.ndarray:
-        if "labels" not in mesh._cache:
-            mesh._cache["labels"] = np.unique(mesh.tri_region, return_inverse=True)
-        labels, index = mesh._cache["labels"]
+        labels, index = _region_labels(mesh)
         return np.array([self.value_for(lbl) for lbl in labels], dtype=complex)[index]
 
     def max_jump(self, other: "Admittivity") -> float:
@@ -117,15 +118,19 @@ def _p1_grads(mesh: Mesh):
     if "p1" in mesh._cache:
         return mesh._cache["p1"]
     pts = mesh.tri_points()
-    x, y = pts[..., 0], pts[..., 1]
     if "areas" not in mesh._cache:      # `Mesh.areas`, from the same points
         mesh._cache["areas"] = _signed_areas(pts)
-    area = mesh._cache["areas"]
+    mesh._cache["p1"] = _hat_gradients(pts, mesh._cache["areas"])
+    return mesh._cache["p1"]
+
+
+def _hat_gradients(pts: np.ndarray, area: np.ndarray):
+    """(area, gradients) of the three hats on triangles with points `pts`."""
+    x, y = pts[..., 0], pts[..., 1]
     det = 2.0 * area
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     grads = np.stack([b, c], axis=2) / det[:, None, None]   # (nt, 3, 2)
-    mesh._cache["p1"] = (area, grads)
     return area, grads
 
 
@@ -173,20 +178,43 @@ def _tri_bins(mesh: Mesh):
 
 def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
     """Real Laplace stiffness restricted to each region label."""
-    if "region_stiffness" in mesh._cache:
-        return mesh._cache["region_stiffness"]
-    area, grads = _p1_grads(mesh)
+    if "region_stiffness" not in mesh._cache:
+        mesh._cache["region_stiffness"] = _assemble_regions(
+            mesh, mesh.triangles, mesh.tri_region, *_p1_grads(mesh))
+    return mesh._cache["region_stiffness"]
+
+
+def _assemble_regions(mesh: Mesh, triangles, tri_region, area, grads) -> dict:
+    """Each region's real Laplace stiffness summed over the given triangles,
+    with their areas and hat gradients, as n_nodes x n_nodes matrices."""
     n = mesh.n_nodes
     out = {}
-    for lbl in np.unique(mesh.tri_region):
-        sel = mesh.tri_region == lbl
-        tri = mesh.triangles[sel]
+    for lbl in np.unique(tri_region):
+        sel = tri_region == lbl
+        tri = triangles[sel]
         loc = np.einsum("t,tid,tjd->tij", area[sel], grads[sel], grads[sel])
         rows = np.repeat(tri, 3, axis=1).ravel()
         cols = np.tile(tri, (1, 3)).ravel()
         out[int(lbl)] = sp.csr_matrix((loc.ravel(), (rows, cols)), shape=(n, n))
-    mesh._cache["region_stiffness"] = out
     return out
+
+
+def _band_stiffness(mesh: Mesh) -> dict:
+    """Each region's stiffness summed over only the band of triangles that
+    touch a node of grid column 1 or a boundary node, once per mesh.
+
+    The row of such a node sums every triangle that holds the node, in the
+    same relative order as `region_stiffness`, so it is bit for bit that row
+    of the whole-mesh matrix.  Rows of other nodes miss triangles."""
+    if "band_stiffness" not in mesh._cache:
+        mark = np.zeros(mesh.n_nodes, dtype=bool)
+        mark[mesh.grid[:, 1]] = mark[mesh.boundary_nodes] = True
+        band = mark[mesh.triangles].any(axis=1)
+        tri = mesh.triangles[band]
+        pts = mesh.nodes[tri]
+        mesh._cache["band_stiffness"] = _assemble_regions(
+            mesh, tri, mesh.tri_region[band], *_hat_gradients(pts, _signed_areas(pts)))
+    return mesh._cache["band_stiffness"]
 
 
 def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
@@ -194,7 +222,9 @@ def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
     node grid: dicts from label to the diagonal and horizontal coupling of
     each node row and the vertical coupling of each pair of consecutive rows,
     all at column 1, and to each boundary node's coupling to its neighbour on
-    the ring of interior nodes (exactly 0 at the four corners)."""
+    the ring of interior nodes (exactly 0 at the four corners).  Each lies in
+    the row of a column-1 or boundary node, so `_band_stiffness` gives it bit
+    for bit as `region_stiffness` would, with no whole-mesh assembly."""
     if "grid_couplings" not in mesh._cache:
         grid, bb = mesh.grid, mesh.boundary_nodes
         col = grid[:, 1]
@@ -202,17 +232,18 @@ def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
         ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
         pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
         mesh._cache["grid_couplings"] = tuple(
-            {lbl: np.asarray(K[p, q]).ravel() for lbl, K in region_stiffness(mesh).items()}
+            {lbl: np.asarray(K[p, q]).ravel() for lbl, K in _band_stiffness(mesh).items()}
             for p, q in pairs)
     return mesh._cache["grid_couplings"]
 
 
 def _boundary_blocks(mesh: Mesh) -> dict:
-    """Each region's K_BB, read once per mesh like `_grid_couplings`."""
+    """Each region's K_BB, read once per mesh like `_grid_couplings`, from the
+    boundary nodes' rows of `_band_stiffness`."""
     if "boundary_blocks" not in mesh._cache:
         bb = mesh.boundary_nodes
         mesh._cache["boundary_blocks"] = {
-            lbl: K[np.ix_(bb, bb)] for lbl, K in region_stiffness(mesh).items()}
+            lbl: K[np.ix_(bb, bb)] for lbl, K in _band_stiffness(mesh).items()}
     return mesh._cache["boundary_blocks"]
 
 
@@ -290,8 +321,15 @@ def _ring_gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     return R[np.ix_(loc, loc)]
 
 
+def _region_labels(mesh: Mesh):
+    """The mesh's region labels and each triangle's index into them."""
+    if "labels" not in mesh._cache:
+        mesh._cache["labels"] = np.unique(mesh.tri_region, return_inverse=True)
+    return mesh._cache["labels"]
+
+
 def _check_labels(mesh: Mesh, adm: Admittivity) -> None:
-    labels = set(region_stiffness(mesh))
+    labels = set(_region_labels(mesh)[0].tolist())
     expected = set(range(0, adm.n + 1)) if 0 in labels else set(range(1, adm.n + 1))
     if labels != expected:
         raise GeometryError(
@@ -401,11 +439,11 @@ class FemSystem:
         """
         if self._full is None:
             self.schur()
-        parts = region_stiffness(self.mesh)
         strips = range(1, self.adm.n + 1)
         grid = self.mesh.grid       # None: SuperLU
         bb = self.boundary
         if grid is None:
+            parts = region_stiffness(self.mesh)
             H = np.empty((self.mesh.n_nodes, len(bb)), dtype=complex)
             H[bb] = np.eye(len(bb))
             H[self.interior] = -self._full

@@ -415,6 +415,8 @@ def gauss_newton_reconstruct(target, mesh: Mesh, guess: Admittivity,
     floats ends the run, last in the history.
     """
     target_mat = np.asarray(target)
+    if not np.isfinite(target_mat).all():
+        raise ValueError("target DtN map is not finite")
     _, L = _gram_and_chol(mesh)
 
     lam_bound = guess.lam

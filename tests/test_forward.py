@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import eitlab as el
+from eitlab import forward
 from eitlab.forward import (Admittivity, EllipticityError, _boundary_blocks, _combine,
                             _grid_couplings, assemble, bottom_modes, caccioppoli_ratio,
                             coefficient_tensor, elasticity_quadratic_form,
                             field_from_function, region_stiffness, solve_dirichlet,
                             solve_real_system, stiffness)
 from eitlab.geometry import GeometryError, Mesh, _write_csv
-from eitlab.stability import random_harmonic_polynomial
+from eitlab.stability import random_harmonic_polynomial, stability_sweep
 
 
 def layered_profile(values, thicknesses):
@@ -413,13 +414,19 @@ def test_region_stiffness_forms_the_triangle_points_once(monkeypatch):
     assert np.array_equal(m.areas(), fresh.areas())
 
 
-@pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (3, False, 1 / 32)],
-                         ids=["h30-extension", "dyadic"])
+_STRIP_VALUES = [1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j, 1.1, 1.5 - 0.2j, 2.0 + 0.4j]
+
+
+@pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (3, False, 1 / 32),
+                                       (4, False, 1 / 48), (6, True, 1 / 40),
+                                       (3, False, 1 / 128)],
+                         ids=["h30-extension", "dyadic", "4-strips-h48",
+                              "6-strips-h40-extension", "h128"])
 def test_combined_grid_couplings_are_the_assembled_entries_bit_for_bit(n, ext, h):
     # each region's couplings, combined in label order, sum every entry in
     # the order that assembles the stiffness
     m = el.generate_mesh(el.build_partition(n, with_extension=ext), h)
-    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    a = Admittivity(_STRIP_VALUES[:n])
     A = stiffness(m, a)
     grid, bb = m.grid, m.boundary_nodes
     col = grid[:, 1]
@@ -444,6 +451,39 @@ def test_grid_schur_and_derivatives_assemble_no_stiffness():
     disk = assemble(el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j]))
     disk.schur()
     assert "matrix" in disk.__dict__
+
+
+class _Assembled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (4, False, 1 / 48)],
+                         ids=["h30-extension", "4-strips-h48"])
+def test_a_grid_takes_no_region_stiffness(monkeypatch, tmp_path, n, ext, h):
+    # the sine modes read each region's couplings from the band of triangles
+    # at column 1 and the boundary; only a solve or SuperLU assembles
+    def region_stiffness(mesh):
+        raise _Assembled
+    monkeypatch.setattr(forward, "region_stiffness", region_stiffness)
+    m = el.generate_mesh(el.build_partition(n, with_extension=ext), h)
+    a = Admittivity(_STRIP_VALUES[:n])
+    b = Admittivity([g + 0.2 for g in _STRIP_VALUES[:n]])
+    bottom_modes(m, a)
+    stability_sweep([(a, b)], m, arc=np.arange(m.grid.shape[1]))
+    system = assemble(m, a)
+    system.schur()
+    system.derivatives()
+    # the band writes no subset of the mesh's areas or hat gradients
+    assert "p1" not in m._cache and "areas" not in m._cache
+    with pytest.raises(GeometryError, match="do not match"):
+        bottom_modes(m, Admittivity(_STRIP_VALUES[:n - 1]))
+    with pytest.raises(_Assembled):
+        system.solve(np.ones(len(system.boundary)))
+    with pytest.raises(_Assembled):
+        assemble(el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j])).schur()
+    el.write_mesh(m, tmp_path / "mesh.txt")
+    with pytest.raises(_Assembled):
+        assemble(el.read_mesh(tmp_path / "mesh.txt"), a).schur()
 
 
 def test_grid_couplings_are_read_once_per_mesh():

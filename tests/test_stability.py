@@ -409,6 +409,16 @@ def test_reconstruction_noiseless():
     assert res.iterations <= 15
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(-math.inf, 1.0)],
+                         ids=["inf", "nan", "complex-inf"])
+def test_reconstruction_rejects_a_target_that_is_not_finite(bad):
+    m = el.generate_mesh(el.build_partition(2), 1 / 16)
+    target = dtn_matrix(m, Admittivity([1.0, 2.0])).matrix.copy()
+    target[3, 4] = target[4, 3] = bad
+    with pytest.raises(ValueError, match="target DtN map is not finite"):
+        gauss_newton_reconstruct(target, m, Admittivity([1.0, 1.0]))
+
+
 @pytest.mark.parametrize("lam", [1.0, 1.05, 2.0, 10.0])
 def test_project_admissible_is_the_nearest_point(rng, lam):
     # the set is convex, so p is the nearest point to z exactly when
