@@ -24,7 +24,7 @@ from . import __version__
 from .dtn import dtn_matrix
 from .forward import (Admittivity, EllipticityError, SolverError, boundary_trace,
                       caccioppoli_ratio, field_from_function, solve_dirichlet)
-from .fundsol import TwoPhaseCoeffs
+from .fundsol import SingularPointError, TwoPhaseCoeffs
 from .geometry import (GeometryError, InvalidSpecError, TooCoarseError, _open_new,
                        _write_csv, build_partition, generate_mesh, mesh_hash)
 from .singular import (CorrectorSolver, PlacementError, alessandrini_pair,
@@ -323,8 +323,14 @@ def _run_s_rate(scn: Scenario, rng):
                               f"{k}, so the probe integral vanishes at every depth")
     c1 = TwoPhaseCoeffs(scn.admittivity.value_for(k), scn.admittivity.value_for(k - 1))
     c2 = TwoPhaseCoeffs(scn.admittivity_2.value_for(k), scn.admittivity_2.value_for(k - 1))
-    radii, vals, slope = half_space_probe_rate(c1, c2, jump,
-                                               [f * rho0 for f in fracs], rho0)
+    # rho0 ** 2 overflows from about 1e155, and a depth of about 1e-200 rho0
+    # puts a quadrature node on the source
+    try:
+        radii, vals, slope = half_space_probe_rate(c1, c2, jump,
+                                                   [f * rho0 for f in fracs], rho0)
+    except (OverflowError, SingularPointError) as exc:
+        raise NumericFailure(f"s-rate at rho0 = {rho0!r}: probe quadrature failed: "
+                             f"{exc}") from exc
     rows = [(float(r), float(abs(v)), slope) for r, v in zip(radii, vals)]
     return {"s_rate.csv": (("r", "abs_S", "fit_slope"), rows)}, {"fit_slope": slope}
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .forward import Admittivity, FemSystem, _sine_modes, assemble, bottom_modes
 from .geometry import Mesh
@@ -150,6 +149,7 @@ def _sweep_maps(mesh: Mesh, arc=None):
         w = bottom_gram(mesh)
         return (lambda adm: bottom_modes(mesh, adm)), \
             (lambda delta: float(np.abs(delta / w).max()))
+    import scipy.linalg as sla
     key = None if positions is None else tuple(positions.tolist())
     return (lambda adm: dtn_matrix(mesh, adm, arc=arc).matrix), \
         (lambda delta: float(sla.svdvals(_whiten(_gram_and_chol(mesh, key)[1], delta))[0]))
@@ -168,6 +168,7 @@ def h_half_gram(M: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
     """
     if not -1.0 <= s <= 1.0:
         raise ValueError(f"order s must lie in [-1, 1], got {s}")
+    import scipy.linalg as sla
     try:
         d, V = sla.eigh(B, M)
     except sla.LinAlgError as exc:   # pragma: no cover - guarded by SPD mass
@@ -189,6 +190,7 @@ def _gram_and_chol(mesh: Mesh, positions=None) -> tuple[np.ndarray, np.ndarray]:
             sub = np.ix_(positions, positions)
             M, B = M[sub], B[sub]
         W = h_half_gram(M, B, 0.5)
+        import scipy.linalg as sla
         L = sla.cholesky(W, lower=True)
         W.flags.writeable = L.flags.writeable = False
         mesh._cache[key] = W, L
@@ -197,12 +199,14 @@ def _gram_and_chol(mesh: Mesh, positions=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _whiten(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """L^{-1} Z L^{-T} for a lower-triangular L."""
+    import scipy.linalg as sla
     t = sla.solve_triangular(L, Z, lower=True)
     return sla.solve_triangular(L, t.T, lower=True).T
 
 
 def operator_norm(delta: np.ndarray, W_half: np.ndarray) -> float:
     """Largest singular value of L^{-1} delta L^{-T}, W_half = L L^T."""
+    import scipy.linalg as sla
     try:
         L = sla.cholesky(W_half, lower=True)
     except sla.LinAlgError as exc:

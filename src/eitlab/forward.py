@@ -19,6 +19,11 @@ whole-mesh assembly, and is bit for bit its row.  Either way `schur` forms the f
 principal blocks are the arcs' maps, and keeps its interior solve on the
 system for the derivatives.
 
+Both assemblies sum each entry's duplicates in numpy, in triangle order
+(`_assemble_regions`).  scipy is imported only where it runs: the CSR
+matrices of `region_stiffness`, SuperLU (`splu`) and `solve_real_system`.
+So the sine modes, and with them a bottom-arc sweep, load no scipy.
+
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
 path, and `caccioppoli_ratio` measures interior gradient energy against
@@ -31,13 +36,15 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .geometry import GeometryError, Mesh, _signed_areas
 from .quadrature import clipped_quadrature
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EllipticityError",
@@ -176,32 +183,69 @@ def _tri_bins(mesh: Mesh):
     return mesh._cache["tri_bins"]
 
 
+def splu(A):
+    """SuperLU factorization of a sparse matrix; scipy loads on first call."""
+    import scipy.sparse.linalg
+    return scipy.sparse.linalg.splu(A)
+
+
 def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
-    """Real Laplace stiffness restricted to each region label."""
+    """Real Laplace stiffness restricted to each region label, as scipy CSR
+    matrices in canonical format."""
     if "region_stiffness" not in mesh._cache:
-        mesh._cache["region_stiffness"] = _assemble_regions(
-            mesh, mesh.triangles, mesh.tri_region, *_p1_grads(mesh))
+        import scipy.sparse as sp
+        n = mesh.n_nodes
+        parts = _assemble_regions(mesh, mesh.triangles, mesh.tri_region, *_p1_grads(mesh))
+        mesh._cache["region_stiffness"] = {
+            lbl: sp.csr_matrix(K, shape=(n, n)) for lbl, K in parts.items()}
     return mesh._cache["region_stiffness"]
 
 
 def _assemble_regions(mesh: Mesh, triangles, tri_region, area, grads) -> dict:
     """Each region's real Laplace stiffness summed over the given triangles,
-    with their areas and hat gradients, as n_nodes x n_nodes matrices."""
+    with their areas and hat gradients: n_nodes x n_nodes matrices as
+    canonical CSR arrays (data, indices, indptr).
+
+    An entry sums its triangles' contributions in triangle order (a stable
+    sort on the entry, then `np.add.reduceat`), so a row that holds the same
+    triangles in the same relative order is bit for bit the same row over
+    any subset of the mesh's triangles."""
     n = mesh.n_nodes
     out = {}
     for lbl in np.unique(tri_region):
         sel = tri_region == lbl
         tri = triangles[sel]
         loc = np.einsum("t,tid,tjd->tij", area[sel], grads[sel], grads[sel])
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        out[int(lbl)] = sp.csr_matrix((loc.ravel(), (rows, cols)), shape=(n, n))
+        key = (np.repeat(tri, 3, axis=1) * n + np.tile(tri, (1, 3))).ravel()
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        rows, indices = np.divmod(key[first], n)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        out[int(lbl)] = np.add.reduceat(loc.ravel()[order], first), indices, indptr
+    return out
+
+
+def _entries(K: tuple, pairs) -> list:
+    """Entries at each (p, q) in `pairs` of canonical CSR arrays K = (data,
+    indices, indptr), 0 where none is stored.  Each row's columns are sorted,
+    so the stored entries' row-major keys row * n + col are sorted too, and
+    one `searchsorted` finds every pair."""
+    data, indices, indptr = K
+    n = len(indptr) - 1
+    key = np.repeat(np.arange(n) * n, np.diff(indptr)) + indices
+    out = []
+    for p, q in pairs:
+        want = p * n + q
+        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        out.append(np.where(key[at] == want, data[at], 0.0))
     return out
 
 
 def _band_stiffness(mesh: Mesh) -> dict:
     """Each region's stiffness summed over only the band of triangles that
-    touch a node of grid column 1 or a boundary node, once per mesh.
+    touch a node of grid column 1 or a boundary node, once per mesh, as the
+    CSR arrays of `_assemble_regions`.
 
     The row of such a node sums every triangle that holds the node, in the
     same relative order as `region_stiffness`, so it is bit for bit that row
@@ -231,19 +275,33 @@ def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
         rows, cols = np.divmod(bb, grid.shape[1])
         ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
         pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
+        parts = {lbl: _entries(K, pairs) for lbl, K in _band_stiffness(mesh).items()}
         mesh._cache["grid_couplings"] = tuple(
-            {lbl: np.asarray(K[p, q]).ravel() for lbl, K in _band_stiffness(mesh).items()}
-            for p, q in pairs)
+            {lbl: x[i] for lbl, x in parts.items()} for i in range(len(pairs)))
     return mesh._cache["grid_couplings"]
 
 
+class _Block(np.ndarray):
+    """A dense boundary block, read by `toarray` as a sparse block would be."""
+
+    def toarray(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
 def _boundary_blocks(mesh: Mesh) -> dict:
-    """Each region's K_BB, read once per mesh like `_grid_couplings`, from the
-    boundary nodes' rows of `_band_stiffness`."""
+    """Each region's K_BB as a dense `_Block`, read once per mesh like
+    `_grid_couplings`, from the boundary nodes' rows of `_band_stiffness`."""
     if "boundary_blocks" not in mesh._cache:
         bb = mesh.boundary_nodes
-        mesh._cache["boundary_blocks"] = {
-            lbl: K[np.ix_(bb, bb)] for lbl, K in _band_stiffness(mesh).items()}
+        at = np.full(mesh.n_nodes, -1)        # each node's boundary position
+        at[bb] = np.arange(len(bb))
+        blocks = {}
+        for lbl, (data, indices, indptr) in _band_stiffness(mesh).items():
+            r, c = at[np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))], at[indices]
+            on = (r >= 0) & (c >= 0)
+            blocks[lbl] = np.zeros((len(bb), len(bb))).view(_Block)
+            blocks[lbl][r[on], c[on]] = data[on]
+        mesh._cache["boundary_blocks"] = blocks
     return mesh._cache["boundary_blocks"]
 
 
@@ -543,6 +601,7 @@ def solve_real_system(mesh: Mesh, adm: Admittivity, f) -> "FieldSolution":
     parts = region_stiffness(mesh)
     Ks = sum(adm.value_for(lbl).real * K for lbl, K in parts.items())
     Ke = sum(adm.value_for(lbl).imag * K for lbl, K in parts.items())
+    import scipy.sparse as sp
     A = sp.bmat([[Ks, -Ke], [Ke, Ks]], format="csr")
 
     n = mesh.n_nodes

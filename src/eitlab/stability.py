@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dtn import _gram_and_chol, _sweep_maps, _whiten
 from .forward import Admittivity, assemble
@@ -362,6 +361,7 @@ def sensitivity_jacobian(mesh: Mesh, adm: Admittivity) -> SensitivityResult:
     lam = system.schur()
     cols = system.derivatives()
     J = _jacobian(L, cols)
+    import scipy.linalg as sla
     sv = sla.svdvals(J)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
         raise RuntimeError(
@@ -451,6 +451,7 @@ def perturb_dtn(matrix: np.ndarray, gram_half: np.ndarray, eta: float,
     n = matrix.shape[0]
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     S = 0.5 * (G + G.T)
+    import scipy.linalg as sla
     L = sla.cholesky(gram_half, lower=True)
     scale = np.linalg.norm(_phi(L, S))
     return matrix + (eta / scale) * S

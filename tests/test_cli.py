@@ -431,8 +431,14 @@ _COARSE_RECONSTRUCT = _with(_SMOKE["reconstruct"], ("mesh", "h"), 0.25)
     _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1e308]),
     _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1e200]),
     _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1.7e308]),
+    _with(_SMOKE["s-rate"], ("params", "rho0"), 1e160),
+    _with(_SMOKE["s-rate"], ("params", "rho0"), 1e300),
+    _with(_SMOKE["s-rate"], ("params", "radii_over_rho0"), [1e-200, 0.25]),
+    _with(_SMOKE["s-rate"], ("params", "radii_over_rho0"), [1e-300, 0.25]),
 ], ids=["forward-pole-at-a-node", "dtn-norm-zero-eps", "reconstruct-noise-1e308",
-        "reconstruct-misfit-overflows", "reconstruct-noisy-map-overflows"])
+        "reconstruct-misfit-overflows", "reconstruct-noisy-map-overflows",
+        "s-rate-rho0-1e160", "s-rate-rho0-1e300", "s-rate-depth-1e-200",
+        "s-rate-depth-1e-300"])
 def test_nan_output_exits_3(tmp_path, capsys, recwarn, cfg):
     out = tmp_path / "out"
     assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
