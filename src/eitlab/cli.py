@@ -323,11 +323,14 @@ def _run_s_rate(scn: Scenario, rng):
                               f"{k}, so the probe integral vanishes at every depth")
     c1 = TwoPhaseCoeffs(scn.admittivity.value_for(k), scn.admittivity.value_for(k - 1))
     c2 = TwoPhaseCoeffs(scn.admittivity_2.value_for(k), scn.admittivity_2.value_for(k - 1))
+    depths = [f * rho0 for f in fracs]
+    if min(depths) == 0.0:
+        raise ValidationError(f"config.params: a depth radii_over_rho0 * rho0 = "
+                              f"{min(fracs)!r} * {rho0!r} underflows to 0")
     # rho0 ** 2 overflows from about 1e155, and a depth of about 1e-200 rho0
     # puts a quadrature node on the source
     try:
-        radii, vals, slope = half_space_probe_rate(c1, c2, jump,
-                                                   [f * rho0 for f in fracs], rho0)
+        radii, vals, slope = half_space_probe_rate(c1, c2, jump, depths, rho0)
     except (OverflowError, SingularPointError) as exc:
         raise NumericFailure(f"s-rate at rho0 = {rho0!r}: probe quadrature failed: "
                              f"{exc}") from exc
@@ -590,7 +593,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker threads for sweeps that build dense DtN maps")
     p_list = sub.add_parser("list", help="print the experiment catalog")
     p_list.add_argument("--json", action="store_true", help="machine-readable catalog")
 

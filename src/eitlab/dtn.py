@@ -17,8 +17,9 @@ the sup of |<Delta f, conj(psi)>| over unit fractional-norm trace vectors.
 
 On the bottom arc of a `generate_mesh` grid (the arc of `arc: bottom`) the
 map, M, B and W_{1/2} are all diagonal in the orthonormal type-I sine basis
-along the bottom row, so a sweep takes them as n mode values: the map's from
-`forward.bottom_modes` and the Gram's from `bottom_gram`.  The operator norm
+along the bottom row, so a sweep takes them as n mode values: every
+admittivity's map from one stacked `forward.bottom_modes` pass and the
+Gram's from `bottom_gram`.  The operator norm
 of a difference is then max_k |Delta lam_k| / w_k, with no dense map, Gram
 eigendecomposition, Cholesky factor or SVD.  Every other arc or mesh takes
 the dense path, which is also the tests' oracle for the mode path.
@@ -26,6 +27,7 @@ the dense path, which is also the tests' oracle for the mode path.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,27 +133,34 @@ def bottom_gram(mesh: Mesh) -> np.ndarray:
     return mass * np.sqrt(1.0 + stiff / mass)
 
 
-def _sweep_maps(mesh: Mesh, arc=None):
-    """The map of an admittivity on `arc` (as in `dtn_matrix`), and the
-    operator norm of a difference of two such maps: a pair of functions.
+def _sweep_maps(mesh: Mesh, arc=None, threads: int = 1):
+    """The maps of a sequence of admittivities on `arc` (as in `dtn_matrix`),
+    and the operator norm of a difference of two such maps: a pair of
+    functions.
 
     When the arc is the bottom row of a mesh with a node grid, corner to
-    corner, a map is its n sine-mode values (`forward.bottom_modes`).  Its
-    Gram has the modes `bottom_gram` in the same basis, so the norm of a
-    difference is max_k |delta_k| / w_k, with no dense matrix.  Any other arc
-    or mesh takes the dense map and the norm of `operator_norm`, whitened by
-    the Cholesky factor that `_gram_and_chol` keeps.
+    corner, a map is its n sine-mode values, and one `forward.bottom_modes`
+    pass forms every admittivity's.  Its Gram has the modes `bottom_gram` in
+    the same basis, so the norm of a difference is max_k |delta_k| / w_k, with
+    no dense matrix.  Any other arc or mesh takes the dense maps, one per
+    admittivity on a pool of `threads` workers, and the norm of
+    `operator_norm`, whitened by the Cholesky factor that `_gram_and_chol`
+    keeps.
     """
     positions = _arc_interior(mesh, arc)
     grid = mesh.grid
     if (positions is not None and grid is not None
             and np.array_equal(mesh.boundary_nodes[positions], grid[0, 1:-1])):
         w = bottom_gram(mesh)
-        return (lambda adm: bottom_modes(mesh, adm)), \
+        return (lambda adms: bottom_modes(mesh, adms)), \
             (lambda delta: float(np.abs(delta / w).max()))
     import scipy.linalg as sla
     key = None if positions is None else tuple(positions.tolist())
-    return (lambda adm: dtn_matrix(mesh, adm, arc=arc).matrix), \
+
+    def build(adms):
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(lambda adm: dtn_matrix(mesh, adm, arc=arc).matrix, adms))
+    return build, \
         (lambda delta: float(sla.svdvals(_whiten(_gram_and_chol(mesh, key)[1], delta))[0]))
 
 

@@ -15,9 +15,12 @@ factorization or assembly: `FemSystem.matrix` is assembled when a solve or
 SuperLU first reads it.  The couplings lie in the rows of grid column 1 and
 of the boundary, so they are read from the band of triangles that touch
 those nodes: each such row sums the same triangles in the same order as the
-whole-mesh assembly, and is bit for bit its row.  Either way `schur` forms the full map, whose
-principal blocks are the arcs' maps, and keeps its interior solve on the
-system for the derivatives.
+whole-mesh assembly, and is bit for bit its row.  Either way `schur` forms
+the full map, whose principal blocks are the arcs' maps, and keeps its
+interior solve on the system for the derivatives.  The bottom arc alone has
+its own grid path, `bottom_modes`: its map needs only the corner [T_k^-1]_00
+of each mode's Green function, a continued fraction that one pass over the
+node rows takes for every mode of a whole batch of admittivities.
 
 Both assemblies sum each entry's duplicates in numpy, in triangle order
 (`_assemble_regions`).  scipy is imported only where it runs: the CSR
@@ -321,18 +324,18 @@ def _sine_modes(diag, off, n: int) -> np.ndarray:
     return diag + np.multiply.outer(2.0 * np.cos(np.pi * k / (n + 1)), off)
 
 
-def _mode_green(diag: np.ndarray, off: np.ndarray, columns) -> np.ndarray:
-    """Columns of the inverse of every tridiagonal T_k, one Thomas sweep per
-    column, vectorized over the modes k.
+def _mode_green(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The inverse of every tridiagonal T_k, one Thomas sweep over all its
+    columns, vectorized over the modes k.
 
     T_k has diagonal diag[k] and off-diagonal `off`; entry [k, r, j] of the
-    result is T_k^-1[r, columns[j]].  No pivoting: Re gamma >= 1/lambda
-    makes the Hermitian part of every T_k positive definite.
+    result is T_k^-1[r, j].  No pivoting: Re gamma >= 1/lambda makes the
+    Hermitian part of every T_k positive definite.
     """
     m = diag.shape[1]
     # row-major in r, so that each step of the sweep reads contiguous rows
-    x = np.zeros((m, diag.shape[0], len(columns)), dtype=complex)
-    x[columns, :, np.arange(len(columns))] = 1.0
+    x = np.zeros((m, diag.shape[0], m), dtype=complex)
+    x[np.arange(m), :, np.arange(m)] = 1.0
     piv = diag.T.copy()
     for r in range(1, m):
         ell = off[r - 1] / piv[r - 1]
@@ -400,8 +403,9 @@ def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
     return _combine(adm, region_stiffness(mesh))
 
 
-def bottom_modes(mesh: Mesh, adm: Admittivity) -> np.ndarray:
-    """Mode values of the bottom arc's map on a mesh with a node grid.
+def bottom_modes(mesh: Mesh, adms) -> np.ndarray:
+    """Mode values of the bottom arc's map on a mesh with a node grid, one
+    row of n values per admittivity in the sequence `adms`.
 
     The arc's interior is the bottom row's n interior nodes, and its map is
     the principal block of `FemSystem.schur` on them.  That block is
@@ -410,14 +414,31 @@ def bottom_modes(mesh: Mesh, adm: Admittivity) -> np.ndarray:
     G the block of A_II^-1 on that row, whose sine mode k is [T_k^-1]_00.  So
     the orthonormal type-I sine transform S along the row diagonalizes it:
     S Lam S has diagonal lam_k = d + 2 e cos(k pi / (n + 1)) - c^2 [T_k^-1]_00.
-    The row couplings are linear in the strip values and combine each
-    region's from `_grid_couplings`, so no stiffness is assembled.
+    T_k has diagonal a_r and off-diagonal b_r over the m interior rows, so
+    [T_k^-1]_00 = 1 / q_0 for the continued fraction q_{m-1} = a_{m-1},
+    q_r = a_r - b_r^2 / q_{r+1}: one pass over the rows serves every mode of
+    every admittivity, stacked (rows, admittivities, modes).  Each value
+    takes the same operations whatever else the batch holds.  The row
+    couplings are linear in the strip values and combine each region's from
+    `_grid_couplings`, so no stiffness is assembled.
     """
-    _check_labels(mesh, adm)
-    diag, horiz, vert = (_combine(adm, x) for x in _grid_couplings(mesh)[:3])
-    modes = _sine_modes(diag, horiz, mesh.grid.shape[1] - 2)      # every node row
-    green = _mode_green(modes[:, 1:-1], vert[1:-1], [0])[:, 0, 0]
-    return modes[:, 0] - vert[0] ** 2 * green                # vert[0] is c
+    couplings = _grid_couplings(mesh)[:3]
+    stacked = []
+    for adm in adms:
+        _check_labels(mesh, adm)
+        stacked.append([_combine(adm, x) for x in couplings])
+    n = mesh.grid.shape[1] - 2
+    if not stacked:
+        return np.empty((0, n), dtype=complex)
+    diag, horiz, vert = (np.stack(x, axis=1) for x in zip(*stacked))     # (rows, A)
+    cos = 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    modes = horiz[..., None] * cos                           # every node row, (rows, A, n)
+    modes += diag[..., None]                                  # in place: one array, not two
+    b2 = vert[..., None] ** 2                                 # vert[0] is c
+    q = modes[-2]
+    for r in range(len(modes) - 3, 0, -1):
+        q = modes[r] - b2[r] / q
+    return modes[0] - b2[0] / q
 
 
 class FemSystem:
@@ -476,7 +497,7 @@ class FemSystem:
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
         diag, horiz, vert, c = (_combine(self.adm, x) for x in _grid_couplings(self.mesh))
         T = _sine_modes(diag[1:-1], horiz[1:-1], grid.shape[1] - 2)
-        G = _mode_green(T, vert[1:-1], range(T.shape[1]))
+        G = _mode_green(T, vert[1:-1])
         R = _ring_gather(G, *np.divmod(bb, grid.shape[1]))
         self._full = (c, R, G)
         A_BB = _combine(self.adm, _boundary_blocks(self.mesh)).toarray()

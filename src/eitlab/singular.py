@@ -596,9 +596,17 @@ def half_space_probe_integral(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs,
 
     Panel widths, s - r and the bounds on d are written in forms that do not
     cancel when the source is very near the interface or very far from it.
+
+    The integrand scales as 1/s^4 over a volume as s^3, so
+    S(r, rho0) = S(r / rho0, 1) / rho0 exactly.  A region smaller than 1 is
+    taken in units of rho0 that way, so rho0^2 and r q (q + r) cannot
+    underflow; a larger one is taken as it is, and rho0^2 overflows (an
+    `OverflowError`) from about rho0 = 1e155.
     """
     if not (0 < r and 0 < rho0):
         raise ValueError("radius and region size must be positive")
+    unit = min(rho0, 1.0)
+    r, rho0 = r / unit, rho0 / unit
     q = math.hypot(r, rho0)
     tu, wu = _PROBE_U_RULE
     tau, wtau = (tu + 1.0) / 2.0, wu / 2.0          # the u rule moved to [0, 1]
@@ -626,7 +634,7 @@ def half_space_probe_integral(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs,
     y = np.array([0.0, 0.0, -r])
     g1 = two_phase_gamma_grad(x, y, c1, n=3)
     g2 = two_phase_gamma_grad(x, y, c2, n=3)
-    return complex(jump) * complex(weight.ravel() @ (g1 * g2).sum(axis=1))
+    return complex(jump) * complex(weight.ravel() @ (g1 * g2).sum(axis=1)) / unit
 
 
 def half_space_probe_rate(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs, jump: complex,

@@ -11,7 +11,6 @@ representation rather than raw floats.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,12 +492,13 @@ def stability_sweep(pairs, mesh: Mesh, threads: int = 1,
     full map of a mirror-symmetric strip stack cannot order strips by depth,
     while bottom-edge data sees deeper strips exponentially more weakly.
     On the bottom row of a mesh with a node grid each map is its sine-mode
-    values, and eps needs no dense matrix (`dtn._sweep_maps`).
+    values, all formed in one stacked pass with no worker pool, and eps
+    needs no dense matrix (`dtn._sweep_maps`).  Any other arc or mesh builds
+    one dense map per unique admittivity on a pool of `threads` workers.
     """
-    build, norm = _sweep_maps(mesh, arc)
+    build, norm = _sweep_maps(mesh, arc, threads)
     uniq = {a.values: a for pair in pairs for a in pair}
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        maps = dict(zip(uniq, ex.map(build, uniq.values())))
+    maps = dict(zip(uniq, build(uniq.values())))
 
     out = []
     for a1, a2 in pairs:

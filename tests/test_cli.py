@@ -211,6 +211,67 @@ def test_bottom_arc_sweep_csv_is_the_same_at_one_and_two_threads(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+
+def test_bottom_arc_sweep_csv_does_not_depend_on_the_order_of_its_pairs(tmp_path):
+    # every admittivity's mode map comes from one stacked pass, and each one's
+    # values do not depend on the batch's order or makeup
+    base = [[1.2, 0.3], [1.9, -0.5], [0.8, 0.1]]
+    admittivities = [{"values": base, "lambda": 10.0}] + [
+        {"values": [v if i != j else [v[0] + 0.3, v[1] + 0.2] for i, v in enumerate(base)],
+         "lambda": 10.0} for j in range(3)]
+
+    def sweep(name, pairs):
+        cfg = write_config(tmp_path, {
+            "version": 1,
+            "experiment": "sweep",
+            "partition": {"n_strips": 3, "with_extension": True},
+            "mesh": {"h": 1 / 30},
+            "admittivities": admittivities,
+            "params": {"arc": "bottom", "pairs": pairs},
+        }, name=f"{name}.json")
+        out = tmp_path / cfg.stem
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        return (out / "sweep.csv").read_bytes()
+
+    body = sweep("base", [[0, 1], [0, 2], [0, 3]])
+    assert sweep("swapped", [[1, 0], [2, 0], [3, 0]]) == body
+    header, *rows = body.decode().splitlines()
+    backwards = sweep("reversed", [[3, 0], [2, 0], [1, 0]])
+    reversed_header, *reversed_rows = backwards.decode().splitlines()
+    assert reversed_header == header
+    assert [r.split(",", 1)[1] for r in reversed(reversed_rows)] == \
+        [r.split(",", 1)[1] for r in rows]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho0, code", [(1e-160, 0), (1e-300, 0), (1e-310, 3), (5e-324, 2)],
+                         ids=["1e-160", "1e-300", "1e-310", "subnormal"])
+def test_s_rate_with_a_tiny_rho0_keeps_the_cli_contract(tmp_path, capsys, rho0, code):
+    # the probe integral is taken in units of rho0, so a tiny region neither
+    # underflows nor warns; S scales exactly as 1 / rho0
+    def run(value):
+        cfg = write_config(tmp_path, _with(_SMOKE["s-rate"], ("params", "rho0"), value),
+                           name=f"rho0-{value!r}.json")
+        out = tmp_path / cfg.stem
+        return cli.main(["run", str(cfg), "--out", str(out)]), out / "s_rate.csv"
+
+    status, csv = run(rho0)
+    err = capsys.readouterr().err
+    assert status == code
+    if status != 0:
+        assert err.startswith(("numeric failure:", "validation error:"))
+        assert "Traceback" not in err
+        return
+    rows = [[float(x) for x in line.split(",")] for line in csv.read_text().splitlines()[1:]]
+    assert np.isfinite(rows).all()
+    unit_status, unit_csv = run(1.0)
+    assert unit_status == 0
+    unit = [[float(x) for x in line.split(",")] for line in unit_csv.read_text().splitlines()[1:]]
+    for (r, s, slope), (r1, s1, slope1) in zip(rows, unit):
+        assert r / rho0 == pytest.approx(r1, rel=1e-15)
+        assert s * rho0 == pytest.approx(s1, rel=1e-12)
+        assert slope == pytest.approx(slope1, rel=1e-12)
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     def broken(scn, rng):
         raise cli.NumericFailure("synthetic breakdown")

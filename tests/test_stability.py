@@ -275,8 +275,12 @@ def test_strip_derivatives_read_the_green_functions_schur_kept(monkeypatch, with
     alone = assemble(m, a).derivatives()
     all_columns = []
     green = forward._mode_green
-    monkeypatch.setattr(forward, "_mode_green", lambda diag, off, columns: (
-        all_columns.append(len(columns) == diag.shape[1]) or green(diag, off, columns)))
+
+    def counted(diag, off):
+        G = green(diag, off)
+        all_columns.append(G.shape == (diag.shape[0], diag.shape[1], diag.shape[1]))
+        return G
+    monkeypatch.setattr(forward, "_mode_green", counted)
     system = assemble(m, a)
     system.schur()
     assert all_columns == [True]
@@ -539,7 +543,7 @@ _SWEEP_PAIRS = [(_SWEEP_BASE, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 1.1 + 0.4j]))
 def test_bottom_arc_sweep_eps_matches_the_dense_operator_norm(monkeypatch, h, with_extension):
     # the bottom row of a grid takes mode values and no dense map; its eps is
     # the operator norm of the dense maps' difference in their arc Gram.
-    # Measured: <= 4.1e-12 relative (h = 1/128 with the extension strip)
+    # Measured: <= 1.9e-11 relative (h = 1/128 with the extension strip)
     m = el.generate_mesh(el.build_partition(3, with_extension=with_extension), h)
     arc = np.arange(m.grid.shape[1])
     dense = {a.values: dtn_matrix(m, a, arc=arc) for pair in _SWEEP_PAIRS for a in pair}
@@ -571,6 +575,25 @@ def test_sweep_takes_the_dense_map_off_the_bottom_row(monkeypatch):
     stability_sweep(_SWEEP_PAIRS, m, arc=np.arange(nx))
     assert calls == []
 
+
+
+def test_bottom_arc_sweep_forms_its_maps_in_one_stacked_pass(monkeypatch):
+    # one bottom_modes call holds every unique admittivity, and the continued
+    # fraction needs no Thomas sweep
+    m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 30)
+    arc = np.arange(m.grid.shape[1])
+    expected = stability_sweep(_SWEEP_PAIRS, m, arc=arc)
+
+    def no_sweep(*args):
+        raise AssertionError("the bottom arc's modes ran a Thomas sweep")
+    monkeypatch.setattr(forward, "_mode_green", no_sweep)
+    batches = []
+    build = dtn.bottom_modes
+    monkeypatch.setattr(dtn, "bottom_modes", lambda mesh, adms: (
+        batches.append([a.values for a in adms]) or build(mesh, adms)))
+    recs = stability_sweep(_SWEEP_PAIRS, m, arc=arc, threads=2)
+    assert batches == [list({a.values: a for pair in _SWEEP_PAIRS for a in pair})]
+    assert recs == expected
 
 def test_sweep_threads_consistent():
     p = el.build_partition(2)
