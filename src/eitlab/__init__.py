@@ -11,17 +11,14 @@ sensitivity analysis, and Gauss-Newton reconstruction) on top of them.
 __version__ = "0.1.0"
 
 from .geometry import (
-    Chain,
     GeometryError,
     Interface,
     InvalidSpecError,
     Mesh,
-    NoChainError,
     Partition,
     Rect,
     Region,
     TooCoarseError,
-    build_chain,
     build_partition,
     generate_disk_mesh,
     generate_mesh,

@@ -327,8 +327,9 @@ def _run_s_rate(scn: Scenario, rng):
     if min(depths) == 0.0:
         raise ValidationError(f"config.params: a depth radii_over_rho0 * rho0 = "
                               f"{min(fracs)!r} * {rho0!r} underflows to 0")
-    # rho0 ** 2 overflows from about 1e155, and a depth of about 1e-200 rho0
-    # puts a quadrature node on the source
+    # a depth of about 1e-200 rho0 puts a quadrature node on the source; the
+    # region is taken in units of rho0, so S scales as 1 / rho0 at any size
+    # and a value that overflows (rho0 below about 1e-308) fails the output check
     try:
         radii, vals, slope = half_space_probe_rate(c1, c2, jump, depths, rho0)
     except (OverflowError, SingularPointError) as exc:

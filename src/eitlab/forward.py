@@ -16,13 +16,14 @@ SuperLU first reads it.  The couplings lie in the rows of grid column 1 and
 of the boundary, so they are read from the band of triangles that touch
 those nodes: each such row sums the same triangles in the same order as the
 whole-mesh assembly, and is bit for bit its row.  Either way `schur` forms
-the full map, whose principal blocks are the arcs' maps, and keeps its
-interior solve on the system for the derivatives.  The bottom arc alone has
-its own grid path, `bottom_modes`: its map needs only the corner [T_k^-1]_00
-of each mode's Green function, a continued fraction that one pass over the
-node rows takes for every mode of a whole batch of admittivities.
+the full map, whose principal blocks are the arcs' maps, and `derivatives`
+reads the same interior solve, formed once per system.  The bottom arc alone
+has its own grid path, `bottom_modes`: its map needs only the corner
+[T_k^-1]_00 of each mode's Green function, a continued fraction that one pass
+over the node rows takes for every mode of a whole batch of admittivities.
 
-Both assemblies sum each entry's duplicates in numpy, in triangle order
+Both assemblies sum each entry's duplicates in numpy, in triangle order, and
+keep each region's entries under their sorted row-major keys
 (`_assemble_regions`).  scipy is imported only where it runs: the CSR
 matrices of `region_stiffness`, SuperLU (`splu`) and `solve_real_system`.
 So the sine modes, and with them a bottom-arc sweep, load no scipy.
@@ -200,14 +201,15 @@ def region_stiffness(mesh: Mesh) -> dict[int, sp.csr_matrix]:
         n = mesh.n_nodes
         parts = _assemble_regions(mesh, mesh.triangles, mesh.tri_region, *_p1_grads(mesh))
         mesh._cache["region_stiffness"] = {
-            lbl: sp.csr_matrix(K, shape=(n, n)) for lbl, K in parts.items()}
+            lbl: sp.csr_matrix((data, np.divmod(key, n)), shape=(n, n))
+            for lbl, (key, data) in parts.items()}
     return mesh._cache["region_stiffness"]
 
 
 def _assemble_regions(mesh: Mesh, triangles, tri_region, area, grads) -> dict:
     """Each region's real Laplace stiffness summed over the given triangles,
-    with their areas and hat gradients: n_nodes x n_nodes matrices as
-    canonical CSR arrays (data, indices, indptr).
+    with their areas and hat gradients: the sorted, unique row-major keys
+    row * n_nodes + col of its stored entries, and the entries.
 
     An entry sums its triangles' contributions in triangle order (a stable
     sort on the entry, then `np.add.reduceat`), so a row that holds the same
@@ -223,20 +225,15 @@ def _assemble_regions(mesh: Mesh, triangles, tri_region, area, grads) -> dict:
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        rows, indices = np.divmod(key[first], n)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        out[int(lbl)] = np.add.reduceat(loc.ravel()[order], first), indices, indptr
+        out[int(lbl)] = key[first], np.add.reduceat(loc.ravel()[order], first)
     return out
 
 
-def _entries(K: tuple, pairs) -> list:
-    """Entries at each (p, q) in `pairs` of canonical CSR arrays K = (data,
-    indices, indptr), 0 where none is stored.  Each row's columns are sorted,
-    so the stored entries' row-major keys row * n + col are sorted too, and
-    one `searchsorted` finds every pair."""
-    data, indices, indptr = K
-    n = len(indptr) - 1
-    key = np.repeat(np.arange(n) * n, np.diff(indptr)) + indices
+def _entries(K: tuple, pairs, n: int) -> list:
+    """Entries at each (p, q) in `pairs` of an n x n matrix K = (keys,
+    entries) from `_assemble_regions`, 0 where none is stored: one
+    `searchsorted` of the row-major keys p * n + q per pair."""
+    key, data = K
     out = []
     for p, q in pairs:
         want = p * n + q
@@ -248,7 +245,7 @@ def _entries(K: tuple, pairs) -> list:
 def _band_stiffness(mesh: Mesh) -> dict:
     """Each region's stiffness summed over only the band of triangles that
     touch a node of grid column 1 or a boundary node, once per mesh, as the
-    CSR arrays of `_assemble_regions`.
+    keys and entries of `_assemble_regions`.
 
     The row of such a node sums every triangle that holds the node, in the
     same relative order as `region_stiffness`, so it is bit for bit that row
@@ -278,31 +275,25 @@ def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
         rows, cols = np.divmod(bb, grid.shape[1])
         ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
         pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
-        parts = {lbl: _entries(K, pairs) for lbl, K in _band_stiffness(mesh).items()}
+        parts = {lbl: _entries(K, pairs, mesh.n_nodes)
+                 for lbl, K in _band_stiffness(mesh).items()}
         mesh._cache["grid_couplings"] = tuple(
             {lbl: x[i] for lbl, x in parts.items()} for i in range(len(pairs)))
     return mesh._cache["grid_couplings"]
 
 
-class _Block(np.ndarray):
-    """A dense boundary block, read by `toarray` as a sparse block would be."""
-
-    def toarray(self) -> np.ndarray:
-        return self.view(np.ndarray)
-
-
 def _boundary_blocks(mesh: Mesh) -> dict:
-    """Each region's K_BB as a dense `_Block`, read once per mesh like
+    """Each region's K_BB as a dense array, read once per mesh like
     `_grid_couplings`, from the boundary nodes' rows of `_band_stiffness`."""
     if "boundary_blocks" not in mesh._cache:
         bb = mesh.boundary_nodes
         at = np.full(mesh.n_nodes, -1)        # each node's boundary position
         at[bb] = np.arange(len(bb))
         blocks = {}
-        for lbl, (data, indices, indptr) in _band_stiffness(mesh).items():
-            r, c = at[np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))], at[indices]
+        for lbl, (key, data) in _band_stiffness(mesh).items():
+            r, c = at[np.stack(np.divmod(key, mesh.n_nodes))]
             on = (r >= 0) & (c >= 0)
-            blocks[lbl] = np.zeros((len(bb), len(bb))).view(_Block)
+            blocks[lbl] = np.zeros((len(bb), len(bb)))
             blocks[lbl][r[on], c[on]] = data[on]
         mesh._cache["boundary_blocks"] = blocks
     return mesh._cache["boundary_blocks"]
@@ -451,7 +442,6 @@ class FemSystem:
         self.boundary = mesh.boundary_nodes
         self.interior = mesh.interior_nodes()
         self._lu = None
-        self._full = None       # schur's interior solve: X, or (c, R, G)
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -486,26 +476,33 @@ class FemSystem:
         The rows are read at column 1; where the node columns are not evenly
         spaced in floating point (h = 1/30), the other columns differ in their
         last bits.  Any other mesh solves A_II^-1 A_IB through SuperLU.
-        Either way the interior solve is kept for `derivatives`.
+        Either way it reads `_interior_solve`, as `derivatives` does.
         """
         bb = self.boundary
+        if self.mesh.grid is None:
+            A = self.matrix
+            X = self._interior_solve
+            return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
+        c, R, _ = self._interior_solve
+        return _combine(self.adm, _boundary_blocks(self.mesh)) - c[:, None] * R * c[None, :]
+
+    @functools.cached_property
+    def _interior_solve(self):
+        """The interior solve that `schur` and `derivatives` read, formed once
+        like `lu`: X = A_II^-1 A_IB through SuperLU, or on a mesh with a node
+        grid the ring couplings c, the ring gather R of A_II^-1 and every
+        mode's Green function G_k = T_k^-1 (see `schur`)."""
         grid = self.mesh.grid       # None: SuperLU
         if grid is None:
-            A = self.matrix
-            X = self.lu.solve(self._a_ib.toarray())
-            self._full = X
-            return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
+            return self.lu.solve(self._a_ib.toarray())
         diag, horiz, vert, c = (_combine(self.adm, x) for x in _grid_couplings(self.mesh))
         T = _sine_modes(diag[1:-1], horiz[1:-1], grid.shape[1] - 2)
         G = _mode_green(T, vert[1:-1])
-        R = _ring_gather(G, *np.divmod(bb, grid.shape[1]))
-        self._full = (c, R, G)
-        A_BB = _combine(self.adm, _boundary_blocks(self.mesh)).toarray()
-        return A_BB - c[:, None] * R * c[None, :]
+        return c, _ring_gather(G, *np.divmod(self.boundary, grid.shape[1])), G
 
     def derivatives(self) -> list:
         """Derivatives d Lam / d gamma_j of the full Schur complement, one
-        per strip j = 1..N, from the interior solve that `schur` kept.
+        per strip j = 1..N, from the interior solve that `schur` reads too.
 
         The stiffness is gamma_j K_j plus the other strips' terms, so on a
         mesh with a node grid, with Lam = A_BB - c R c as in `schur`,
@@ -516,8 +513,6 @@ class FemSystem:
         only on strip j's node rows.  Any other mesh takes H^T K_j H with the
         lifting H = [I; -X], restricted to strip j's nodes.
         """
-        if self._full is None:
-            self.schur()
         strips = range(1, self.adm.n + 1)
         grid = self.mesh.grid       # None: SuperLU
         bb = self.boundary
@@ -525,7 +520,7 @@ class FemSystem:
             parts = region_stiffness(self.mesh)
             H = np.empty((self.mesh.n_nodes, len(bb)), dtype=complex)
             H[bb] = np.eye(len(bb))
-            H[self.interior] = -self._full
+            H[self.interior] = -self._interior_solve
             out = []
             for K in (parts[j] for j in strips):
                 nodes = np.flatnonzero(np.diff(K.indptr))
@@ -533,7 +528,7 @@ class FemSystem:
                 out.append(Hj.T @ (K[np.ix_(nodes, nodes)] @ Hj))
             return out
 
-        c, R, G = self._full
+        c, R, G = self._interior_solve
         rows, cols = np.divmod(bb, grid.shape[1])
         diag, horiz, vert, ring = _grid_couplings(self.mesh)
         blocks = _boundary_blocks(self.mesh)
@@ -548,7 +543,7 @@ class FemSystem:
             TG[:, :-1] += offj[lo:hi - 1, None] * G[:, lo + 1:hi]
             P = G[:, :, lo:hi] @ TG
             PR = _ring_gather(P, rows, cols)
-            out.append(blocks[j].toarray() - cj[:, None] * R * c[None, :]
+            out.append(blocks[j] - cj[:, None] * R * c[None, :]
                        - c[:, None] * R * cj[None, :] + c[:, None] * PR * c[None, :])
         return out
 

@@ -1,4 +1,4 @@
-"""Strip-partitioned rectangles, region chains, and conforming triangulations.
+"""Strip-partitioned rectangles and conforming triangulations.
 
 The geometric setting is deliberately narrow: an axis-aligned rectangle cut
 into N horizontal strips of equal thickness, optionally extended by one extra
@@ -24,17 +24,14 @@ import numpy as np
 
 __all__ = [
     "InvalidSpecError",
-    "NoChainError",
     "TooCoarseError",
     "GeometryError",
     "Rect",
     "Region",
     "Interface",
     "Partition",
-    "Chain",
     "Mesh",
     "build_partition",
-    "build_chain",
     "generate_mesh",
     "generate_disk_mesh",
     "write_mesh",
@@ -50,10 +47,6 @@ MAX_MESH_NODES = 1_000_000
 
 class InvalidSpecError(ValueError):
     """Partition request that cannot be realized."""
-
-
-class NoChainError(ValueError):
-    """No admissible chain of regions reaches the requested target."""
 
 
 class TooCoarseError(ValueError):
@@ -173,19 +166,6 @@ class Partition:
         return False
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Ordered region labels from the boundary strip to a target region."""
-
-    regions: tuple[int, ...]
-    links: tuple[int, ...]    # interface index joining regions[i], regions[i+1]
-
-    def __post_init__(self):
-        if len(set(self.regions)) != len(self.regions):
-            raise NoChainError("chain repeats a region")
-        if len(self.links) != max(len(self.regions) - 1, 0):
-            raise NoChainError("chain links do not match its regions")
-
 def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
                     with_extension: bool = False) -> Partition:
     """Split `rect` into `n_strips` equal horizontal strips.
@@ -220,29 +200,6 @@ def build_partition(n_strips: int, rect=(0.0, 0.0, 1.0, 1.0),
     return Partition(domain=domain, omega=omega, regions=tuple(regions),
                      interfaces=tuple(interfaces), r0=r0, n_strips=n_strips,
                      with_extension=with_extension)
-
-
-def build_chain(p: Partition, target: int) -> Chain:
-    """Chain of regions from the boundary strip to `target`.
-
-    The chain starts at the extension strip when present, otherwise at strip 1,
-    and passes through every strip up to `target`; each interface it crosses
-    must be listed.
-    """
-    labels = set(p.labels)
-    if target not in labels:
-        raise NoChainError(f"target region {target} not in partition labels {sorted(labels)}")
-    start = 0 if p.with_extension else 1
-    if start not in labels:
-        raise NoChainError(f"start region {start} not in partition labels {sorted(labels)}")
-    # the regions are stacked strips and interface k joins regions k-1 and k
-    step = 1 if target >= start else -1
-    regions = tuple(range(start, target + step, step))
-    links = tuple(max(a, b) for a, b in zip(regions, regions[1:]))
-    joined = {s.index for s in p.interfaces if s.below in labels and s.above in labels}
-    if not joined.issuperset(links):
-        raise NoChainError(f"region {target} is not reachable from region {start}")
-    return Chain(regions=regions, links=links)
 
 
 @dataclass

@@ -598,15 +598,14 @@ def half_space_probe_integral(c1: TwoPhaseCoeffs, c2: TwoPhaseCoeffs,
     cancel when the source is very near the interface or very far from it.
 
     The integrand scales as 1/s^4 over a volume as s^3, so
-    S(r, rho0) = S(r / rho0, 1) / rho0 exactly.  A region smaller than 1 is
-    taken in units of rho0 that way, so rho0^2 and r q (q + r) cannot
-    underflow; a larger one is taken as it is, and rho0^2 overflows (an
-    `OverflowError`) from about rho0 = 1e155.
+    S(r, rho0) = S(r / rho0, 1) / rho0 exactly.  The region is taken in
+    units of rho0 that way, so rho0^2 and r q (q + r) neither underflow nor
+    overflow at any size.
     """
     if not (0 < r and 0 < rho0):
         raise ValueError("radius and region size must be positive")
-    unit = min(rho0, 1.0)
-    r, rho0 = r / unit, rho0 / unit
+    unit = rho0
+    r, rho0 = r / unit, 1.0
     q = math.hypot(r, rho0)
     tu, wu = _PROBE_U_RULE
     tau, wtau = (tu + 1.0) / 2.0, wu / 2.0          # the u rule moved to [0, 1]

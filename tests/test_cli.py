@@ -243,34 +243,55 @@ def test_bottom_arc_sweep_csv_does_not_depend_on_the_order_of_its_pairs(tmp_path
         [r.split(",", 1)[1] for r in rows]
 
 
+def _s_rate_run(tmp_path, rho0):
+    """Exit status and `s_rate.csv` rows (None on failure) of the smoke
+    s-rate run at region size `rho0`."""
+    cfg = write_config(tmp_path, _with(_SMOKE["s-rate"], ("params", "rho0"), rho0),
+                       name=f"rho0-{rho0!r}.json")
+    out = tmp_path / cfg.stem
+    status = cli.main(["run", str(cfg), "--out", str(out)])
+    if status != 0:
+        return status, None
+    lines = (out / "s_rate.csv").read_text().splitlines()[1:]
+    return status, [[float(x) for x in line.split(",")] for line in lines]
+
+
+def _assert_scales_as_one_over_rho0(tmp_path, rows, rho0, rel):
+    unit_status, unit = _s_rate_run(tmp_path, 1.0)
+    assert unit_status == 0
+    for (r, s, slope), (r1, s1, slope1) in zip(rows, unit):
+        assert r / rho0 == pytest.approx(r1, rel=1e-15)
+        assert s * rho0 == pytest.approx(s1, rel=rel)
+        assert slope == pytest.approx(slope1, rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rho0, code", [(1e-160, 0), (1e-300, 0), (1e-310, 3), (5e-324, 2)],
                          ids=["1e-160", "1e-300", "1e-310", "subnormal"])
 def test_s_rate_with_a_tiny_rho0_keeps_the_cli_contract(tmp_path, capsys, rho0, code):
     # the probe integral is taken in units of rho0, so a tiny region neither
     # underflows nor warns; S scales exactly as 1 / rho0
-    def run(value):
-        cfg = write_config(tmp_path, _with(_SMOKE["s-rate"], ("params", "rho0"), value),
-                           name=f"rho0-{value!r}.json")
-        out = tmp_path / cfg.stem
-        return cli.main(["run", str(cfg), "--out", str(out)]), out / "s_rate.csv"
-
-    status, csv = run(rho0)
+    status, rows = _s_rate_run(tmp_path, rho0)
     err = capsys.readouterr().err
     assert status == code
     if status != 0:
         assert err.startswith(("numeric failure:", "validation error:"))
         assert "Traceback" not in err
         return
-    rows = [[float(x) for x in line.split(",")] for line in csv.read_text().splitlines()[1:]]
     assert np.isfinite(rows).all()
-    unit_status, unit_csv = run(1.0)
-    assert unit_status == 0
-    unit = [[float(x) for x in line.split(",")] for line in unit_csv.read_text().splitlines()[1:]]
-    for (r, s, slope), (r1, s1, slope1) in zip(rows, unit):
-        assert r / rho0 == pytest.approx(r1, rel=1e-15)
-        assert s * rho0 == pytest.approx(s1, rel=1e-12)
-        assert slope == pytest.approx(slope1, rel=1e-12)
+    _assert_scales_as_one_over_rho0(tmp_path, rows, rho0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho0", [1e160, 1e300, 1.7e308], ids=["1e160", "1e300", "1.7e308"])
+def test_s_rate_with_a_huge_rho0_runs(tmp_path, rho0):
+    # in units of rho0, rho0 ** 2 cannot overflow either; at 1.7e308 the
+    # values are subnormal and keep about 14 digits
+    status, rows = _s_rate_run(tmp_path, rho0)
+    assert status == 0
+    assert np.isfinite(rows).all()
+    _assert_scales_as_one_over_rho0(tmp_path, rows, rho0, rel=1e-13)
+
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     def broken(scn, rng):
@@ -492,14 +513,11 @@ _COARSE_RECONSTRUCT = _with(_SMOKE["reconstruct"], ("mesh", "h"), 0.25)
     _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1e308]),
     _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1e200]),
     _with(_COARSE_RECONSTRUCT, ("params", "noise_levels"), [1.7e308]),
-    _with(_SMOKE["s-rate"], ("params", "rho0"), 1e160),
-    _with(_SMOKE["s-rate"], ("params", "rho0"), 1e300),
     _with(_SMOKE["s-rate"], ("params", "radii_over_rho0"), [1e-200, 0.25]),
     _with(_SMOKE["s-rate"], ("params", "radii_over_rho0"), [1e-300, 0.25]),
 ], ids=["forward-pole-at-a-node", "dtn-norm-zero-eps", "reconstruct-noise-1e308",
         "reconstruct-misfit-overflows", "reconstruct-noisy-map-overflows",
-        "s-rate-rho0-1e160", "s-rate-rho0-1e300", "s-rate-depth-1e-200",
-        "s-rate-depth-1e-300"])
+        "s-rate-depth-1e-200", "s-rate-depth-1e-300"])
 def test_nan_output_exits_3(tmp_path, capsys, recwarn, cfg):
     out = tmp_path / "out"
     assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3

@@ -483,7 +483,7 @@ def test_combined_grid_couplings_are_the_assembled_entries_bit_for_bit(n, ext, h
     pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
     for parts, (p, q) in zip(_grid_couplings(m), pairs):
         assert _combine(a, parts).tobytes() == np.asarray(A[p, q]).ravel().tobytes()
-    combined = _combine(a, _boundary_blocks(m)).toarray()
+    combined = _combine(a, _boundary_blocks(m))
     assert combined.tobytes() == A[np.ix_(bb, bb)].toarray().tobytes()
 
 
@@ -559,6 +559,32 @@ def test_grid_schur_and_derivatives_assemble_no_stiffness():
     disk = assemble(el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j]))
     disk.schur()
     assert "matrix" in disk.__dict__
+
+
+def test_superlu_schur_and_derivatives_share_one_interior_solve(monkeypatch, tmp_path):
+    # a mesh read back from file has no node grid, so it takes SuperLU: the
+    # boundary columns A_II^-1 A_IB are solved once per system, whichever of
+    # schur and derivatives runs first
+    m = _read_back(tmp_path)
+    assert m.grid is None
+    a = Admittivity(_STRIP_VALUES[:3])
+    alone = assemble(m, a).derivatives()
+    columns = []
+    factorize = forward.splu
+
+    class Counted:
+        def __init__(self, A):
+            self.lu = factorize(A)
+
+        def solve(self, rhs):
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return self.lu.solve(rhs)
+    monkeypatch.setattr(forward, "splu", Counted)
+    system = assemble(m, a)
+    system.schur()
+    after = system.derivatives()
+    assert columns == [len(system.boundary)]
+    assert [x.tobytes() for x in after] == [x.tobytes() for x in alone]
 
 
 class _Assembled(Exception):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import eitlab as el
 from eitlab import geometry
-from eitlab.geometry import (InvalidSpecError, NoChainError, Rect, TooCoarseError,
-                             mesh_hash, read_mesh, write_mesh)
+from eitlab.geometry import (InvalidSpecError, Rect, TooCoarseError, mesh_hash, read_mesh,
+                             write_mesh)
 from eitlab.singular import _box_partition
 
 
@@ -21,14 +21,14 @@ def test_single_region_partition():
     assert p.interfaces[0].y == 0.0
 
 
-def test_three_strip_interfaces_and_chain():
+def test_three_strip_interfaces():
     p = el.build_partition(3)
     heights = {s.index: s.y for s in p.interfaces}
     assert heights[2] == pytest.approx(1 / 3)
     assert heights[3] == pytest.approx(2 / 3)
-    ch = el.build_chain(p, 3)
-    assert ch.regions == (1, 2, 3)
-    assert ch.links == (2, 3)
+    # a box over strips 2-3 keeps only the labels of the strips it meets
+    bp = _box_partition(p, Rect(0.4, 0.5, 0.6, 0.9))
+    assert bp.labels == (2, 3)
 
 
 def test_extension_partition_geometry():
@@ -42,8 +42,6 @@ def test_extension_partition_geometry():
     k0_point = (0.9, -p.r0 / 2 - 0.05)
     assert p.chain_set_contains(k0_point)
     assert 0.0 - k0_point[1] >= p.r0 / 2
-    ch = el.build_chain(p, 2)
-    assert ch.regions == (0, 1, 2)
 
 
 def test_marked_points_carry_interface_ball():
@@ -61,20 +59,6 @@ def test_invalid_specs():
         el.build_partition(-2)
     with pytest.raises(InvalidSpecError):
         el.build_partition(2, rect=(0, 0, 1, 0))
-
-
-def test_chain_trivial_and_errors():
-    p = el.build_partition(4)
-    assert el.build_chain(p, 4).regions == (1, 2, 3, 4)
-    assert el.build_chain(p, 1).regions == (1,)
-    with pytest.raises(NoChainError):
-        el.build_chain(p, 9)
-    # a box over strips 2-3 lacks strip 1, where a chain without the
-    # extension starts
-    bp = _box_partition(el.build_partition(3), Rect(0.4, 0.5, 0.6, 0.9))
-    assert bp.labels == (2, 3)
-    with pytest.raises(NoChainError, match="start region 1"):
-        el.build_chain(bp, 3)
 
 
 def test_uw_labels_partition_omega():
