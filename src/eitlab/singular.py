@@ -31,20 +31,34 @@ its source sits in a triangle with gtilde != 0, the identity leaves the
 point mass of the kernel as one more term.
 
 Probe integrals S_k pair the gradients of two singular solutions (bilinear,
-no conjugation) over the unexplored strips above depth k.  They stay on area
-quadrature: the moving source of `s_k_on_grid` may sit on the boundary of
-the integration region, where a line integral would meet the singularity.
-With diff = gamma1 - gamma2 and the TRI7 points x_q and weights w_q,
+no conjugation) over the region A of the unexplored strips above depth k.
+With d = (gamma1 - gamma2) 1_A, constant on each triangle,
 
-    S_k = sum_T diff_T |T| sum_q w_q grad G1(x_q) . grad G2(x_q)
-        = sum_q grad Gamma1(x_q) . V2(x_q) + w1 . f,
+    S_k = sum_T d_T int_T grad G1 . grad G2,   G = Gamma + w.
 
-    V2(x_q) = diff_T |T| w_q grad G2(x_q),   f_i = sum_T grad phi_i|_T . v_T,
-    v_T = sum_{q in T} V2(x_q),
+Neither source lies in A: `region_of_point` resolves ties upward, so a
+source on the bottom of A counts as inside and is rejected.  Gamma1 is then
+harmonic on each strip of A (its interface is at most A's bottom edge, where
+it takes the branch from A's side), and G2 is continuous, so Green's first
+identity on each triangle, summed as for the corrector load, gives
 
-exactly, because grad w1 is constant on each triangle and w1 = sum_i w1_i
-phi_i.  V2 and f depend on G2 and gamma1 only, so the fixed source of a
-probe grid forms them once.
+    sum_T d_T int_T grad Gamma1 . grad G2 = sum_e J_e int_e G2 grad Gamma1 . n ds
+
+over the half-edges where d jumps, J_e = d_T - d_T', with the outside of the
+mesh counted as d = 0: on the outer boundary G2 = Gamma2 - I_h Gamma2 is
+not 0.  On an edge G2 is Gamma2 plus w2 interpolated linearly between the
+edge's nodes, so no point location is needed.  grad w1 is constant on each
+triangle and w1 = sum_i w1_i phi_i, so the rest is w1 . f with
+
+    f_i = sum_T d_T int_T grad phi_i . grad G2
+        = sum_e J_e int_e phi_i grad Gamma2 . n ds + sum_T d_T |T| grad phi_i . grad w2,
+
+by the same identity for Gamma2.  Both edge integrals take the 4-point
+Gauss-Legendre panels of `_edge_rule`, which the corrector load uses too.
+The fixed source forms f and its weights J_e w_q G2(x_q) n_e on the points
+of its own rule once per depth and admittivity; a moving source pairs its
+kernel gradient with them and forms the weights again only on the edges
+that its own rule refines further, the nearer source setting the panels.
 
 A moving source's corrector then enters S_k only through w1 . f.  On the
 boundary nodes B it is the trace t = -Gamma1; on the interior nodes I it
@@ -55,12 +69,14 @@ A_II zeta_I = f_I) and g = f_B - (A zeta)_B, reciprocity gives
     w1 . f = f_B . t + zeta_I . (b_I - A_IB t) = g . t + zeta . b,
 
 so `s_k_on_grid` solves once, for zeta, and each moving source costs its
-trace, its load and its kernel at the points, with no solve of its own.
+trace, its load and its kernel gradient on the edges, with no solve of its
+own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +87,7 @@ from .forward import (Admittivity, FieldSolution, _p1_grads, assemble,
 from .fundsol import TwoPhaseCoeffs, laplace_gamma, laplace_gamma_grad, \
     two_phase_gamma, two_phase_gamma_grad
 from .geometry import GeometryError, Mesh, Partition, Rect, Region, generate_mesh
-from .quadrature import TRI7_W, clipped_quadrature, tri7_points
+from .quadrature import clipped_quadrature
 
 __all__ = [
     "PlacementError",
@@ -172,12 +188,14 @@ _EDGE_T, _EDGE_W = (_EDGE_T + 1.0) / 2.0, _EDGE_W / 2.0
 
 
 def _jump_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges between triangles of different regions, found once per mesh.
+    """Half-edges where a coefficient that is constant on each region, and 0
+    outside the mesh, may jump; found once per mesh.
 
     Returns the node pairs (m, 2), ordered as in the counterclockwise
-    triangle `inner` (m,), and the triangle `outer` (m,) across each edge.
-    On a `generate_mesh` mesh these are the edges of `interface_edges` away
-    from the outer boundary.
+    triangle `inner` (m,), and the triangle `outer` (m,) across each edge:
+    first the edges between triangles of different regions, then the
+    outer-boundary edges, whose `outer` is -1.  On a `generate_mesh` mesh the
+    first are the edges of `interface_edges` away from the outer boundary.
     """
     if "jump_edges" not in mesh._cache:
         tris = mesh.triangles
@@ -186,11 +204,14 @@ def _jump_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.argsort(key, kind="stable")
         twin = np.flatnonzero(key[order][1:] == key[order][:-1])
         first, second = order[twin], order[twin + 1]       # one edge seen twice
+        once = np.ones(len(key), dtype=bool)
+        once[first] = once[second] = False
         inner, outer = first // 3, second // 3
         jump = mesh.tri_region[inner] != mesh.tri_region[outer]
-        first, inner, outer = first[jump], inner[jump], outer[jump]
+        first = np.concatenate([first[jump], np.flatnonzero(once)])
         edges = np.column_stack([a[first], b[first]])
-        mesh._cache["jump_edges"] = (edges, inner, outer)
+        outer = np.concatenate([outer[jump], np.full(len(first) - jump.sum(), -1)])
+        mesh._cache["jump_edges"] = (edges, first // 3, outer)
     return mesh._cache["jump_edges"]
 
 
@@ -216,24 +237,76 @@ def _point_mass(mesh: Mesh, y: np.ndarray, gtilde: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_flux(sol: SingularSolution, ends: np.ndarray, jump: np.ndarray) -> np.ndarray:
-    """jump_e int_e phi grad Gamma_l . n ds for the hats phi of both ends of
-    each edge (m, 2, 2), n the normal to the right of the edge; shape (m, 2).
+def _near(ends: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A lower bound on the distance of each edge (m, 2, 2) from y."""
+    a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+    return np.hypot(*(a + d / 2 - y).T) - np.hypot(d[:, 0], d[:, 1]) / 2
 
-    Each edge takes the 4-point Gauss-Legendre rule on ceil(4 L / d) equal
-    panels (at most 64), L its length and d a lower bound on its distance
-    from the source, so an edge at least 4 L away is one panel of 4 points.
+
+def _graded_breaks(foot: float, dist: float) -> np.ndarray:
+    """Panel ends on [0, 1] graded toward `foot`, for a source `dist` from
+    it (both in units of the edge length).  Panels are dist/4 long out to
+    dist from the foot, then each a quarter of its start's offset long.  A
+    source on the edge itself, which a mesh without a partition allows,
+    counts as 1e-12 away."""
+    dist = max(dist, 1e-12)
+
+    def side(extent):
+        n = math.ceil(math.log(extent / dist) / math.log(1.25)) if extent > dist else 0
+        offsets = np.concatenate([np.arange(4) * (dist / 4), dist * 1.25 ** np.arange(n)])
+        return np.append(offsets[offsets < extent], extent)
+
+    left, right = side(foot), side(1.0 - foot)
+    return np.concatenate([foot - left[::-1], foot + right[1:]])
+
+
+def _edge_rule(ends: np.ndarray, y: np.ndarray):
+    """Panels of the 4-point Gauss-Legendre rule on each edge (m, 2, 2) for
+    an integrand singular at the source y.
+
+    An edge of length L whose distance from y has a lower bound d >= L/16
+    takes ceil(4 L / d) equal panels, so an edge at least 4 L away is one
+    panel.  A nearer edge is graded toward y's foot point on it
+    (`_graded_breaks`): O(log(L / d)) panels, each at most a quarter of its
+    distance from y long.  Returns the edge of each panel (np,), its points'
+    positions on [0, 1] along the edge (np, 4), the divisor of their
+    weights _EDGE_W / div (np,) and the points themselves (np * 4, 2).  The
+    equal panels divide by their count, as the corrector load always has,
+    so its loads stay bit for bit where no edge is graded.
     """
     a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
     length = np.hypot(d[:, 0], d[:, 1])
-    near = np.hypot(*(a + d / 2 - sol.y).T) - length / 2
+    near = _near(ends, y)
+    graded = near < 4 * length / 64
     panels = np.ceil(4 * length / np.maximum(near, 4 * length / 64)).astype(int)
+    panels[graded] = 0
     e = np.repeat(np.arange(len(ends)), panels)                 # edge of each panel
     j = np.arange(len(e)) - np.repeat(np.cumsum(panels) - panels, panels)
     t = (j[:, None] + _EDGE_T) / panels[e, None]                # (np, 4) on [0, 1]
-    gk = sol.kernel_grad((a[e, None] + t[..., None] * d[e, None]).reshape(-1, 2))
+    div = panels[e].astype(float)
+    if np.any(graded):
+        es, ts, divs = [e], [t], [div]
+        for i in np.flatnonzero(graded):
+            foot = np.clip((y - a[i]) @ d[i] / length[i] ** 2, 0.0, 1.0)
+            breaks = _graded_breaks(foot, np.hypot(*(a[i] + foot * d[i] - y)) / length[i])
+            width = np.diff(breaks)
+            es.append(np.full(len(width), i))
+            ts.append(breaks[:-1, None] + _EDGE_T * width[:, None])
+            divs.append(1.0 / width)
+        e, t, div = np.concatenate(es), np.concatenate(ts), np.concatenate(divs)
+    return e, t, div, (a[e, None] + t[..., None] * d[e, None]).reshape(-1, 2)
+
+
+def _edge_flux(sol: SingularSolution, ends: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """jump_e int_e phi grad Gamma_l . n ds for the hats phi of both ends of
+    each edge (m, 2, 2), n the normal to the right of the edge; shape (m, 2).
+    The panels are those of `_edge_rule` for the source of `sol`.
+    """
+    e, t, div, points = _edge_rule(ends, sol.y)
+    d = ends[:, 1] - ends[:, 0]
+    gk = sol.kernel_grad(points)
     normal = np.column_stack([d[:, 1], -d[:, 0]])[e]            # |e| long
-    flux = (jump[e, None] * _EDGE_W / panels[e, None]
+    flux = (jump[e, None] * _EDGE_W / div[:, None]
             * np.einsum("pqd,pd->pq", gk.reshape(-1, 4, 2), normal))
     out = np.zeros((len(ends), 2), dtype=complex)
     np.add.at(out, e, np.column_stack([(flux * (1.0 - t)).sum(1), (flux * t).sum(1)]))
@@ -337,7 +410,7 @@ class CorrectorSolver:
             gtilde = self.adm.element_values(mesh) - approx
             edges, inner, outer = _jump_edges(mesh)
             jump = gtilde[inner] - gtilde[outer]
-            on = jump != 0
+            on = (jump != 0) & (outer >= 0)     # boundary rows are Dirichlet
             self._links[key] = gtilde, edges[on], jump[on]
         return self._links[key]
 
@@ -404,6 +477,8 @@ def _u_labels(mesh: Mesh, k: int) -> set[int]:
     p = mesh.partition
     if p is None:
         raise GeometryError("probe integrals require a strip partition")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"chain depth k must be an integer, got {k!r}")
     if not 0 <= k <= p.n_strips:
         raise ValueError(f"chain depth k must lie in [0, {p.n_strips}]")
     return p.u_labels(k)
@@ -414,44 +489,85 @@ def _require_outside(p: Partition, labels: set[int], y: np.ndarray) -> None:
         raise PlacementError("source lies inside the unexplored region")
 
 
-def _probe_points(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the triangles above depth k and their TRI7 points (m, 7, 2)."""
-    labels = tuple(sorted(_u_labels(mesh, k)))
-    key = ("probe_points", labels)
-    if key not in mesh._cache:
-        in_u = np.isin(mesh.tri_region, labels)
-        mesh._cache[key] = (in_u, tri7_points(mesh.tri_points()[in_u]))
-    return mesh._cache[key]
+@dataclass(frozen=True)
+class _ProbeWeight:
+    """The fixed source's part of S_k, on the edges (m, 2, 2) where
+    d = diff 1_A jumps: their jumps J_e, its corrector's values at their
+    ends, the points of its edge rule with their weight vectors
+    J_e (_EDGE_W / div) G2(x_q) n_e and their edges, and the nodal vector f.
+    A moving source whose distance bound from an edge is below `reach`, the
+    smaller of the fixed source's bound and 4 L, refines that edge further
+    and forms its weights again."""
+
+    ends: np.ndarray
+    jump: np.ndarray
+    w_ends: np.ndarray
+    reach: np.ndarray
+    points: np.ndarray
+    weight: np.ndarray
+    edge: np.ndarray
+    f: np.ndarray
 
 
-def _probe_weight(g2: SingularSolution, adm1: Admittivity, k: int):
-    """TRI7 points, weight V and nodal vector f of g2 for S_k against any
-    solution of admittivity adm1; formed once per (k, adm1) and kept on g2.
+def _pairing_weights(g2: SingularSolution, ends: np.ndarray, jump: np.ndarray,
+                     w_ends: np.ndarray, y: np.ndarray):
+    """Points of the edge rule for the source y, and the weights of g2 there
+    (see `_ProbeWeight`), with G2 = Gamma2 + w2 and w2 linear on each edge."""
+    e, t, div, points = _edge_rule(ends, y)
+    d = ends[:, 1] - ends[:, 0]
+    value = (g2.kernel(points).reshape(-1, 4)
+             + (1.0 - t) * w_ends[e, :1] + t * w_ends[e, 1:])
+    normal = np.column_stack([d[:, 1], -d[:, 0]])[e]            # |e| long
+    weight = (jump[e, None] * _EDGE_W / div[:, None] * value)[..., None] * normal[:, None]
+    return points, weight.reshape(-1, 2), np.repeat(e, 4)
 
-    V = diff |T| w_q grad G2(x_q) (flattened) on the triangles above depth k
-    where diff = gamma1 - gamma2 is nonzero, and f_i = sum_T grad phi_i . v_T
-    with v_T the sum of V over the points of T.  None when there is no such
-    triangle.
-    """
+
+def _probe_weight(g2: SingularSolution, adm1: Admittivity, k: int) -> _ProbeWeight | None:
+    """g2's part of S_k against any solution of admittivity adm1 (see the
+    module docstring); formed once per (k, adm1) and kept on g2.  None when
+    diff = gamma1 - gamma2 vanishes above depth k."""
     key = (k, adm1)
     if key not in g2._probe:
         mesh = g2.mesh
-        diff = adm1.element_values(mesh) - g2.adm.element_values(mesh)
-        in_u, qp = _probe_points(mesh, k)
-        rows = np.abs(diff[in_u]) > 0
-        if not np.any(rows):
+        in_u = np.isin(mesh.tri_region, list(_u_labels(mesh, k)))
+        diff = np.where(in_u, adm1.element_values(mesh) - g2.adm.element_values(mesh), 0)
+        edges, inner, outer = _jump_edges(mesh)
+        padded = np.append(diff, 0)             # outer == -1: the outside, d = 0
+        jump = padded[inner] - padded[outer]
+        on = jump != 0
+        if not np.any(on):
             g2._probe[key] = None
             return None
-        tris = np.flatnonzero(in_u)[rows]
-        points = qp[rows].reshape(-1, 2)
-        area, p1 = _p1_grads(mesh)
-        grad2 = g2.kernel_grad(points).reshape(-1, 7, 2) + g2.w.gradients()[tris][:, None, :]
-        weight = (diff[tris] * area[tris])[:, None, None] * TRI7_W[:, None] * grad2
+        edges, jump = edges[on], jump[on]
+        ends, w_ends = mesh.nodes[edges], g2.w.values[edges]
+        # f_i = sum_e J_e int_e phi_i grad Gamma2 . n ds + sum_T d_T |T| grad phi_i . grad w2
         f = np.zeros(mesh.n_nodes, dtype=complex)
+        np.add.at(f, edges, _edge_flux(g2, ends, jump))
+        tris = np.flatnonzero(diff)
+        area, p1 = _p1_grads(mesh)
         np.add.at(f, mesh.triangles[tris],
-                  np.einsum("tid,td->ti", p1[tris], weight.sum(axis=1)))
-        g2._probe[key] = (points, weight.ravel(), f)
+                  (diff[tris] * area[tris])[:, None]
+                  * np.einsum("tid,td->ti", p1[tris], g2.w.gradients()[tris]))
+        points, weight, edge = _pairing_weights(g2, ends, jump, w_ends, g2.y)
+        length = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
+        reach = np.minimum(_near(ends, g2.y), 4 * length)
+        g2._probe[key] = _ProbeWeight(ends, jump, w_ends, reach, points, weight, edge, f)
     return g2._probe[key]
+
+
+def _kernel_pairing(g1: SingularSolution, g2: SingularSolution,
+                    probe: _ProbeWeight) -> complex:
+    """sum_e J_e int_e G2 grad Gamma1 . n ds, bilinear, on the points of g2's
+    edge rule, except on the edges that g1's own rule refines because its
+    source is the nearer one: those are formed again for g1."""
+    redo = _near(probe.ends, g1.y) < probe.reach
+    if not np.any(redo):
+        return complex(g1.kernel_grad(probe.points).ravel() @ probe.weight.ravel())
+    keep = ~redo[probe.edge]
+    points, weight, _ = _pairing_weights(g2, probe.ends[redo], probe.jump[redo],
+                                         probe.w_ends[redo], g1.y)
+    return complex(g1.kernel_grad(np.concatenate([probe.points[keep], points])).ravel()
+                   @ np.concatenate([probe.weight[keep], weight]).ravel())
 
 
 def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
@@ -460,8 +576,8 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
     Bilinear pairing (no conjugation) of the coefficient difference with the
     two singular-solution gradients; both solutions must share one mesh and
     neither source may sit inside the integration region.  g2's part is its
-    `_probe_weight`, so a call costs g1's kernel at the TRI7 points and two
-    dot products (see the module docstring).
+    `_probe_weight`, so a call costs g1's kernel gradient on the edges where
+    the difference jumps and a dot product (see the module docstring).
     """
     if g1.mesh is not g2.mesh:
         raise MeshMismatchError("probe operands live on different meshes")
@@ -470,43 +586,45 @@ def s_k_evaluate(g1: SingularSolution, g2: SingularSolution, k: int) -> complex:
     for g in (g1, g2):
         _require_outside(mesh.partition, labels, g.y)
 
-    cached = _probe_weight(g2, g1.adm, k)
-    if cached is None:
+    probe = _probe_weight(g2, g1.adm, k)
+    if probe is None:
         return 0.0 + 0.0j
-    points, weight, f = cached
     # bilinear, no conjugation
-    return complex(g1.kernel_grad(points).ravel() @ weight + g1.w.values @ f)
+    return _kernel_pairing(g1, g2, probe) + complex(g1.w.values @ probe.f)
 
 
 def s_k_on_grid(solver1: CorrectorSolver, solver2: CorrectorSolver, k: int,
                 z, points, link2=None) -> np.ndarray:
     """S_k(y_i, z) for many probe points y_i, through one adjoint solve.
 
-    The moving sources form no corrector: each costs its corrector's trace
-    and load, paired with the adjoint field of z's weight (see the module
-    docstring).  Grid points may land on the interface itself: the probe
-    field extends continuously there (the kernel branches agree), so
-    placement checks are relaxed for the moving source.  It must still be a
-    point of the meshed domain outside the unexplored region.
+    `points` is an (n, 2) array.  The moving sources form no corrector: each
+    costs its corrector's trace and load, paired with the adjoint field of
+    z's weight (see the module docstring).  Grid points may land on the
+    interface itself: the probe field extends continuously there (the
+    kernel branches agree), so placement checks are relaxed for the moving
+    source.  It must still be a point of the meshed domain outside the
+    unexplored region.
     """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"probe points must be an (n, 2) array, got shape {points.shape}")
     if solver1.mesh is not solver2.mesh:
         raise MeshMismatchError("probe operands live on different meshes")
+    p, labels = solver1.mesh.partition, _u_labels(solver1.mesh, k)
     gz = solver2.correction(np.asarray(z, dtype=float), link=link2)
-    p, labels = gz.mesh.partition, _u_labels(gz.mesh, k)
     _require_outside(p, labels, gz.y)
-    cached = _probe_weight(gz, solver1.adm, k)
-    if cached is not None:
-        qp, weight, f = cached
+    probe = _probe_weight(gz, solver1.adm, k)
+    if probe is not None:
         system = solver1.system
-        zeta = system.solve(np.zeros(len(system.boundary), dtype=complex), load=f)
-        g = f[system.boundary] - system.boundary_flux(zeta)
+        zeta = system.solve(np.zeros(len(system.boundary), dtype=complex), load=probe.f)
+        g = probe.f[system.boundary] - system.boundary_flux(zeta)
     out = np.zeros(len(points), dtype=complex)
     for i, y in enumerate(points):
-        gy, trace, load = solver1._load(np.asarray(y, dtype=float), None, False)
+        gy, trace, load = solver1._load(y, None, False)
         _require_outside(p, labels, gy.y)
-        if cached is not None:
+        if probe is not None:
             # bilinear, no conjugation
-            out[i] = gy.kernel_grad(qp).ravel() @ weight + g @ trace + zeta.values @ load
+            out[i] = _kernel_pairing(gy, gz, probe) + g @ trace + zeta.values @ load
     return out
 
 

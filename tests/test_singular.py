@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from eitlab import singular
 from eitlab.forward import Admittivity, FemSystem, SolverError, _p1_grads, region_stiffness
 from eitlab.fundsol import TwoPhaseCoeffs, laplace_gamma
 from eitlab.geometry import GeometryError, Rect
-from eitlab.quadrature import TRI7_W, tri7_points
+from eitlab.quadrature import (TRI7_W, _point_triangle_dist, _subdivide, triangle_areas,
+                               tri7_points)
 from eitlab.singular import (CorrectorSolver, MeshMismatchError, PlacementError,
                              alessandrini_pair, asymptotics_check, default_link,
                              green_correction, half_space_probe_integral,
@@ -266,6 +268,31 @@ def test_s_k_on_grid_checks_every_moving_source(values_2):
             s_k_on_grid(sv1, sv2, 2, z, [(0.42, 0.3), bad], link2=1)
 
 
+@pytest.mark.parametrize("points", [[0.42, 0.3], [[0.42, 0.3, 0.0]], np.zeros((2, 1)), 0.42],
+                         ids=["flat-pair", "three-columns", "one-column", "scalar"])
+def test_s_k_on_grid_takes_an_n_by_2_array(points):
+    m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16)
+    sv1 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 1.5]))
+    sv2 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 3.0]))
+    with pytest.raises(ValueError, match=r"probe points must be an \(n, 2\) array"):
+        s_k_on_grid(sv1, sv2, 2, np.array([0.48, -0.23]), points, link2=1)
+
+
+@pytest.mark.parametrize("k", [2.0, True, False, "2", None], ids=repr)
+def test_probe_depth_must_be_an_integer(k):
+    m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16)
+    sv1 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 1.5]))
+    sv2 = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 3.0]))
+    z, y = np.array([0.48, -0.23]), np.array([0.42, 0.3])
+    match = f"chain depth k must be an integer, got {k!r}"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        s_k_on_grid(sv1, sv2, k, z, [y], link2=1)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        s_k_evaluate(sv1.correction(y), sv2.correction(z, link=1), k)
+    # a numpy integer is an integer
+    assert s_k_on_grid(sv1, sv2, np.int64(2), z, [y], link2=1)[0] != 0
+
+
 def test_s_diagonal_log_growth_and_monotonicity():
     # |S_1(y_r, y_r)| increases as the probe approaches the interface and
     # grows at log rate: dyadic increments stay essentially constant
@@ -323,8 +350,10 @@ def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch, h):
     monkeypatch.setattr(FemSystem, "solve", counted_solve)
     got = s_k_on_grid(sv1, sv2, 2, z, points, link2=1)
     z_calls = [n for y, n in sources if y == tuple(z)]
-    # one load for the corrector, then one probe evaluation for the whole grid
-    assert z_calls[1:] == [7 * np.count_nonzero(m.tri_region == 3)]
+    # one load for the corrector, then one probe weight for the whole grid:
+    # 4 Gauss points on each half-edge of strip 3 where diff 1_A jumps, which
+    # are interface 3 and the outer boundary of strip 3
+    assert z_calls[1:] == [4 * (len(m.interface_edges[3]) + _boundary_edges_above(m, 2 / 3))]
     # z's load: 4 Gauss points on each edge where gtilde jumps, which are the
     # edges of interfaces 2 and 3 (strips 0 and 1 both carry gtilde = 0)
     assert z_calls[0] == 4 * sum(len(m.interface_edges[i]) for i in (2, 3))
@@ -338,19 +367,31 @@ def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch, h):
     assert np.all(got != 0)
 
 
-def _s_k_full_gradients(g1, g2, k):
-    """S_k from both full gradients grad G = grad Gamma + grad w at the TRI7
-    points of every triangle above depth k where the admittivities differ."""
+def _boundary_edges_above(mesh, y):
+    return int(np.count_nonzero(mesh.nodes[mesh.boundary_edges][:, :, 1].min(axis=1) >= y))
+
+
+def _s_k_full_gradients(g1, g2, k, pieces=None):
+    """S_k from both full gradients grad G = grad Gamma + grad w with the
+    TRI7 rule on the triangles above depth k where the admittivities
+    differ, or on `pieces(points, parents)` of them."""
     mesh = g1.mesh
     diff = g1.adm.element_values(mesh) - g2.adm.element_values(mesh)
     sel = np.isin(mesh.tri_region, list(mesh.partition.u_labels(k))) & (np.abs(diff) > 0)
-    qp = tri7_points(mesh.tri_points()[sel]).reshape(-1, 2)
-    area, p1 = _p1_grads(mesh)
+    pts, par = mesh.tri_points()[sel], np.flatnonzero(sel)
+    if pieces is not None:
+        pts, par = pieces(pts, par)
+    qp = tri7_points(pts).reshape(-1, 2)
+    _, p1 = _p1_grads(mesh)
     grads = [g.kernel_grad(qp).reshape(-1, 7, 2)
-             + np.einsum("ti,tid->td", g.w.values[mesh.triangles[sel]], p1[sel])[:, None]
+             + np.einsum("ti,tid->td", g.w.values[mesh.triangles[par]], p1[par])[:, None]
              for g in (g1, g2)]
     dots = (grads[0] * grads[1]).sum(axis=2)
-    return complex(np.sum(diff[sel] * area[sel] * (dots @ TRI7_W)))
+    return complex(np.sum(diff[par] * triangle_areas(pts) * (dots @ TRI7_W)))
+
+
+def _quadrisected_twice(pts, par):
+    return _subdivide(*_subdivide(pts, par))
 
 
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
@@ -373,11 +414,48 @@ def test_s_k_matches_the_full_gradient_formula(h):
             # the moving source forms no mesh-wide gradient and keeps nothing
             assert gy.w._grads is None and gy._probe == {}
             moving.append((gy, k))
-        # gz's kernel once per depth, at every point where the strips differ
-        assert z_points[-1] == 7 * np.count_nonzero(np.isin(m.tri_region, list(p.u_labels(k))))
+        # gz's kernel once per depth, 4 points on each half-edge where
+        # diff 1_A jumps: every interface above k and the boundary of A
+        bottom = p.interface_by_index(k + 1).y
+        half_edges = (sum(len(m.interface_edges[i]) for i in range(k + 1, 4))
+                      + _boundary_edges_above(m, bottom))
+        assert z_points[-1] == 4 * half_edges
     assert len(z_points) == 2
-    want = [_s_k_full_gradients(gy, gz, k) for gy, k in moving]
+    # the oracle: TRI7 on every triangle quadrisected twice
+    want = [_s_k_full_gradients(gy, gz, k, _quadrisected_twice) for gy, k in moving]
     assert np.abs(np.subtract(got, want)).max() <= 1e-13 * np.abs(want).min()
+
+
+def _graded_pieces(y, size):
+    """Quadrisect the pieces more than a quarter of their distance from y
+    across, down to pieces `size` across."""
+    def pieces(pts, par):
+        done_pts, done_par = [], []
+        while len(pts):
+            diam = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1)
+            split = (diam > size) & (diam > _point_triangle_dist(pts, y) / 4)
+            done_pts.append(pts[~split])
+            done_par.append(par[~split])
+            pts, par = _subdivide(pts[split], par[split])
+        return np.concatenate(done_pts), np.concatenate(done_par)
+    return pieces
+
+
+def test_s_k_near_the_unexplored_region_beats_tri7():
+    # the demos/06 geometry: the moving source d below the region above
+    # depth 1, where the edge rule grades its panels toward the source
+    p = el.build_partition(2)
+    h = 1 / 64
+    m = el.generate_mesh(p, h)
+    sv1 = CorrectorSolver(m, Admittivity([1.0, 2.0]))
+    sv2 = CorrectorSolver(m, Admittivity([1.0, 3.0]))
+    x = 0.5 + 0.31 * h
+    gz = sv2.correction(np.array([x, 0.1]))
+    for d in (h / 2, h / 16, 1e-4, 1e-5, 1e-8):
+        gy = sv1.correction(np.array([x, 0.5 - d]), link=2)
+        want = _s_k_full_gradients(gy, gz, 1, _graded_pieces(gy.y, d / 6))
+        tri7 = abs(_s_k_full_gradients(gy, gz, 1) - want)
+        assert abs(s_k_evaluate(gy, gz, 1) - want) <= tri7 / 100
 
 
 def test_alessandrini_trivial_pair(strips3_mesh64):
@@ -621,8 +699,13 @@ def test_jump_edges_are_the_interface_edges(load_meshes):
         for mesh in (m, back):
             edges, inner, outer = singular._jump_edges(mesh)
             assert mesh._cache["jump_edges"][0] is edges
-            assert pairs(edges) == want
-            assert np.all(mesh.tri_region[inner] != mesh.tri_region[outer])
+            # region jumps first, then the outer boundary
+            between = outer >= 0
+            assert np.all(between[:between.sum()])
+            assert pairs(edges[between]) == want
+            assert np.all(mesh.tri_region[inner[between]] != mesh.tri_region[outer[between]])
+            assert np.all(outer[~between] == -1)
+            assert pairs(edges[~between]) == pairs(mesh.boundary_edges)
             # each edge runs counterclockwise around its inner triangle
             third = mesh.triangles[inner].sum(axis=1) - edges.sum(axis=1)
             a, b, c = (mesh.nodes[i] for i in (edges[:, 0], edges[:, 1], third))
@@ -630,4 +713,5 @@ def test_jump_edges_are_the_interface_edges(load_meshes):
     # without an extension strip interface 1 is the outer boundary, no jump
     m = el.generate_mesh(el.build_partition(3), 1 / 16)
     want = pairs(np.concatenate([m.interface_edges[i] for i in (2, 3)]))
-    assert pairs(singular._jump_edges(m)[0]) == want
+    edges, _, outer = singular._jump_edges(m)
+    assert pairs(edges[outer >= 0]) == want
