@@ -215,6 +215,17 @@ def _jump_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mesh._cache["jump_edges"]
 
 
+def _edge_jumps(mesh: Mesh, values: np.ndarray):
+    """The half-edges of `_jump_edges` where `values`, one per triangle and
+    0 outside the mesh, jumps: their node pairs, their jumps inner - outer
+    and their `outer` triangles (-1 on the outer boundary)."""
+    edges, inner, outer = _jump_edges(mesh)
+    padded = np.append(values, 0)               # outer == -1: the outside
+    jump = padded[inner] - padded[outer]
+    on = jump != 0
+    return edges[on], jump[on], outer[on]
+
+
 def _point_mass(mesh: Mesh, y: np.ndarray, gtilde: np.ndarray) -> np.ndarray:
     """sum_T gtilde_T theta_T phi_i(y) over the triangles T whose closure
     holds y, with theta_T the fraction of a small disk about y inside T."""
@@ -408,9 +419,8 @@ class CorrectorSolver:
             approx = np.where(mesh.centroids()[:, 1] > iface_y,
                               coeffs.gamma_plus, coeffs.gamma_minus)
             gtilde = self.adm.element_values(mesh) - approx
-            edges, inner, outer = _jump_edges(mesh)
-            jump = gtilde[inner] - gtilde[outer]
-            on = (jump != 0) & (outer >= 0)     # boundary rows are Dirichlet
+            edges, jump, outer = _edge_jumps(mesh, gtilde)
+            on = outer >= 0                     # boundary rows are Dirichlet
             self._links[key] = gtilde, edges[on], jump[on]
         return self._links[key]
 
@@ -531,14 +541,10 @@ def _probe_weight(g2: SingularSolution, adm1: Admittivity, k: int) -> _ProbeWeig
         mesh = g2.mesh
         in_u = np.isin(mesh.tri_region, list(_u_labels(mesh, k)))
         diff = np.where(in_u, adm1.element_values(mesh) - g2.adm.element_values(mesh), 0)
-        edges, inner, outer = _jump_edges(mesh)
-        padded = np.append(diff, 0)             # outer == -1: the outside, d = 0
-        jump = padded[inner] - padded[outer]
-        on = jump != 0
-        if not np.any(on):
+        edges, jump, _ = _edge_jumps(mesh, diff)
+        if not len(edges):
             g2._probe[key] = None
             return None
-        edges, jump = edges[on], jump[on]
         ends, w_ends = mesh.nodes[edges], g2.w.values[edges]
         # f_i = sum_e J_e int_e phi_i grad Gamma2 . n ds + sum_T d_T |T| grad phi_i . grad w2
         f = np.zeros(mesh.n_nodes, dtype=complex)

@@ -292,65 +292,40 @@ def _brute_force_locate(mesh, points):
     1, lies within 2e-9 of the box's extent of the box, so each box is
     widened by 1e-6 of its extent and no accepting triangle is missed.
     Returns (triangle, clipped barycentrics, accepted) with the same formulas,
-    the same lowest-index argmax and the same -1e-9 acceptance as
-    `FieldSolution._locate`.
+    the same argmax and the same -1e-9 acceptance as `FieldSolution._locate`.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     tp = mesh.tri_points()
+    tri_idx = np.empty(len(pts), dtype=np.int64)
+    bary_out = np.empty((len(pts), 3))
+    ok = np.empty(len(pts), dtype=bool)
     x0, y0 = tp[:, 0, 0], tp[:, 0, 1]
     e1 = tp[:, 1] - tp[:, 0]
     e2 = tp[:, 2] - tp[:, 0]
     det = 2.0 * mesh.areas()
-
-    # the boxes on a grid of cells, each triangle listed in every cell its
-    # box meets, in increasing order within a cell
     lo, hi = tp.min(axis=1), tp.max(axis=1)
     pad = 1e-6 * (hi - lo).max(axis=1, keepdims=True)
     lo, hi = lo - pad, hi + pad
-    n = int(np.sqrt(len(tp))) + 1
-    origin, size = lo.min(axis=0), (hi.max(axis=0) - lo.min(axis=0)) / n
 
-    def cell(x):
-        return np.clip(np.floor((x - origin) / size), 0, n - 1).astype(np.int64)
+    def bary(p, t):
+        dx = p[:, 0] - x0[t]
+        dy = p[:, 1] - y0[t]
+        l1 = (dx * e2[t, 1] - dy * e2[t, 0]) / det[t]
+        l2 = (dy * e1[t, 0] - dx * e1[t, 1]) / det[t]
+        return 1.0 - l1 - l2, l1, l2
 
-    c0, c1 = cell(lo), cell(hi)
-    cells, tris = [], []
-    for di in range((c1 - c0)[:, 0].max() + 1):
-        for dj in range((c1 - c0)[:, 1].max() + 1):
-            t = np.flatnonzero((c0[:, 0] + di <= c1[:, 0]) & (c0[:, 1] + dj <= c1[:, 1]))
-            cells.append((c0[t, 0] + di) * n + c0[t, 1] + dj)
-            tris.append(t)
-    cells, tris = np.concatenate(cells), np.concatenate(tris)
-    order = np.lexsort((tris, cells))
-    tris, start = tris[order], np.searchsorted(cells[order], np.arange(n * n + 1))
-
-    # every (point, candidate) pair, the candidates of a point in order
-    cp = cell(pts)
-    c = cp[:, 0] * n + cp[:, 1]
-    count = start[c + 1] - start[c]
-    point = np.repeat(np.arange(len(pts)), count)
-    first = np.cumsum(count) - count
-    tri = tris[np.repeat(start[c] - first, count) + np.arange(count.sum())]
-    dx = pts[point, 0] - x0[tri]
-    dy = pts[point, 1] - y0[tri]
-    l1 = (dx * e2[tri, 1] - dy * e2[tri, 0]) / det[tri]
-    l2 = (dy * e1[tri, 0] - dx * e1[tri, 1]) / det[tri]
-    l0 = 1.0 - l1 - l2
-    viol = np.minimum(np.minimum(l0, l1), l2)
-
-    ok = np.zeros(len(pts), dtype=bool)
-    tri_idx = np.zeros(len(pts), dtype=np.int64)
-    bary_out = np.zeros((len(pts), 3))
-    has = count > 0
-    best = np.full(len(pts), -np.inf)
-    best[has] = np.maximum.reduceat(viol, first[has])
-    # the first pair of each point at its largest violation: its lowest triangle
-    at_best = np.flatnonzero(viol == best[point])
-    who, pick = np.unique(point[at_best], return_index=True)
-    pick = at_best[pick]
-    ok[who] = viol[pick] >= -1e-9
-    tri_idx[who] = tri[pick]
-    bary_out[who] = np.stack([l0[pick], l1[pick], l2[pick]], axis=1)
+    for start in range(0, len(pts), 256):
+        chunk = pts[start:start + 256]
+        inbox = ((chunk[:, None, 0] >= lo[:, 0]) & (chunk[:, None, 0] <= hi[:, 0])
+                 & (chunk[:, None, 1] >= lo[:, 1]) & (chunk[:, None, 1] <= hi[:, 1]))
+        rows, t = np.nonzero(inbox)
+        l0, l1, l2 = bary(chunk[rows], t)
+        viol = np.full(inbox.shape, -np.inf)
+        viol[rows, t] = np.minimum(np.minimum(l0, l1), l2)
+        best = viol.argmax(axis=1)
+        ok[start:start + 256] = viol[np.arange(len(chunk)), best] >= -1e-9
+        tri_idx[start:start + 256] = best
+        bary_out[start:start + 256] = np.stack(bary(chunk, best), axis=1)
     return tri_idx, np.clip(bary_out, 0.0, 1.0), ok
 
 
