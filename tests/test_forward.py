@@ -647,3 +647,41 @@ def test_grid_couplings_are_read_once_per_mesh():
         bottom_modes(m, [Admittivity(values)])
         assert m._cache["grid_couplings"] is couplings
         assert m._cache["boundary_blocks"] is blocks
+
+
+# run in a fresh interpreter, whose heap no other test has shaped; prints the
+# page faults of three factorizations of the same system, one after another
+_REFACTOR_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import eitlab as el
+from eitlab.forward import Admittivity, assemble
+m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 64)
+faults = []
+for _ in range(3):
+    system = assemble(m, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j]))
+    system.matrix
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    system.lu
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    del system
+print(*faults)
+"""
+
+
+def test_a_refactorization_reuses_the_freed_workspace():
+    # glibc keeps the first factorization's freed SuperLU workspace in the
+    # heap, so the next ones fault almost none of its pages in again
+    import ctypes
+    import subprocess
+    import sys
+    from pathlib import Path
+    pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("needs glibc's malloc")
+    src = str(Path(el.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _REFACTOR_SCRIPT, src],
+                          capture_output=True, text=True, check=True)
+    first, *again = map(int, done.stdout.split())
+    assert first > 500
+    assert all(f < first / 4 for f in again), (first, again)
