@@ -4,32 +4,39 @@ coefficients and Dirichlet data.
 The stiffness matrix is assembled exactly: the coefficient is constant per
 region, so each element contributes its real Laplace stiffness scaled by the
 region value, and the global matrix is an affine combination of per-region
-real matrices (`_combine`).  Systems are complex symmetric (plain transpose)
-and solved by sparse LU on the interior block.  `FemSystem` alone chooses the
-back end of its boundary Schur complement and of that complement's
-derivatives in the strip values, from how the mesh was built: sine modes
-exactly when the mesh records its node grid (`Mesh.grid`, which only
-`generate_mesh` sets), and SuperLU on a disk, `read_mesh` or hand-built mesh.
-Sine modes combine each region's couplings, read once per mesh, with no
-factorization or assembly: `FemSystem.matrix` is assembled when a solve or
-SuperLU first reads it.  The couplings lie in the rows of grid column 1 and
-of the boundary, so they are read from the band of triangles that touch
-those nodes: each such row sums the same triangles in the same order as the
-whole-mesh assembly, and is bit for bit its row.  Either way `schur` forms
-the full map, whose principal blocks are the arcs' maps, and `derivatives`
-reads the same interior solve, formed once per system.  The bottom arc alone
-has its own grid path, `bottom_modes`: its map needs only the corner
-[T_k^-1]_00 of each mode's Green function, a continued fraction that one pass
-over the node rows takes for every mode of a whole batch of admittivities.
+real matrices (`_combine`).  Systems are complex symmetric (plain transpose).
+`FemSystem` alone chooses the back end of its interior solves, from how the
+mesh was built: sine modes exactly when the mesh records its node grid
+(`Mesh.grid`, which only `generate_mesh` sets), and SuperLU on a disk,
+`read_mesh` or hand-built mesh.  On a grid the interior block is a Kronecker
+sum, so the type-I sine transform along the node rows splits it into one
+tridiagonal T_k per mode, and each T_k is factored once per system
+(`_thomas_factors`).  A Dirichlet solve transforms its right-hand side,
+sweeps those factors over the rows for every mode at once and transforms
+back; the boundary Schur complement and its derivatives in the strip values
+read every mode's Green function T_k^-1, swept from the same factors.  No
+grid path factorizes a sparse matrix.  The Schur complement combines each
+region's couplings, read once per mesh, with no assembly: `FemSystem.matrix`
+is assembled when a solve, its residual check or SuperLU first reads it.
+The couplings lie in the rows of grid column 1 and of the boundary, so they
+are read from the band of triangles that touch those nodes: each such row
+sums the same triangles in the same order as the whole-mesh assembly, and is
+bit for bit its row.  Either way `schur` forms the full map, whose principal
+blocks are the arcs' maps, and `derivatives` reads the same interior solve,
+formed once per system.  The bottom arc alone has its own grid path,
+`bottom_modes`: its map needs only the corner [T_k^-1]_00 of each mode's
+Green function, a continued fraction that one pass over the node rows takes
+for every mode of a whole batch of admittivities.
 
 Both assemblies sum each entry's duplicates in numpy, in triangle order, and
 keep each region's entries under their sorted row-major keys
 (`_assemble_regions`).  scipy is imported only where it runs: the CSR
 matrices of `region_stiffness`, SuperLU (`splu`) and `solve_real_system`.
-So the sine modes, and with them a bottom-arc sweep, load no scipy.  The
-first SuperLU factorization of a process also has glibc's malloc keep freed
-blocks in the heap (`_keep_freed_heap`), so each factorization's workspace
-costs the same page faults, run after run.
+So the sine modes, and with them a bottom-arc sweep, load no scipy, and a
+grid solve loads `scipy.sparse` for its assembled matrix but not SuperLU.
+The first SuperLU factorization of a process also has glibc's malloc keep
+freed blocks in the heap (`_keep_freed_heap`), so each factorization's
+workspace costs the same page faults, run after run.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -344,27 +351,55 @@ def _sine_modes(diag, off, n: int) -> np.ndarray:
     return diag + np.multiply.outer(2.0 * np.cos(np.pi * k / (n + 1)), off)
 
 
-def _mode_green(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The inverse of every tridiagonal T_k, one Thomas sweep over all its
-    columns, vectorized over the modes k.
+def _thomas_factors(diag: np.ndarray, off: np.ndarray):
+    """The LU factors of every tridiagonal T_k, vectorized over the modes k.
 
-    T_k has diagonal diag[k] and off-diagonal `off`; entry [k, r, j] of the
-    result is T_k^-1[r, j].  No pivoting: Re gamma >= 1/lambda makes the
-    Hermitian part of every T_k positive definite.
+    T_k has diagonal diag[k] and off-diagonal `off`.  Returns (piv, ell,
+    off): the pivots piv[r, k], the multipliers ell[r - 1, k] that eliminate
+    row r, and `off`, the upper factor's off-diagonal.  No pivoting:
+    Re gamma >= 1/lambda makes the Hermitian part of every T_k positive
+    definite.
     """
-    m = diag.shape[1]
-    # row-major in r, so that each step of the sweep reads contiguous rows
-    x = np.zeros((m, diag.shape[0], m), dtype=complex)
-    x[np.arange(m), :, np.arange(m)] = 1.0
     piv = diag.T.copy()
-    for r in range(1, m):
-        ell = off[r - 1] / piv[r - 1]
-        piv[r] -= ell * off[r - 1]
-        x[r] -= ell[:, None] * x[r - 1]
-    x[m - 1] /= piv[m - 1, :, None]
-    for r in range(m - 2, -1, -1):
-        x[r] = (x[r] - off[r] * x[r + 1]) / piv[r, :, None]
-    return x.transpose(1, 0, 2)
+    ell = np.empty((len(piv) - 1, piv.shape[1]), dtype=piv.dtype)
+    for r in range(1, len(piv)):
+        ell[r - 1] = off[r - 1] / piv[r - 1]
+        piv[r] -= ell[r - 1] * off[r - 1]
+    return piv, ell, off
+
+
+def _thomas_sweep(piv, ell, off, x: np.ndarray) -> np.ndarray:
+    """Overwrite x, indexed [row, mode, ...], with T_k^-1 x for every mode k,
+    from the factors of `_thomas_factors`: one forward and one backward
+    sweep over the rows, each step vectorized over the modes and columns."""
+    # each mode's factor against every trailing column of x
+    tail = (1,) * (x.ndim - 2)
+    piv, ell = piv.reshape(piv.shape + tail), ell.reshape(ell.shape + tail)
+    for r in range(1, len(piv)):
+        x[r] -= ell[r - 1] * x[r - 1]
+    x[-1] /= piv[-1]
+    for r in range(len(piv) - 2, -1, -1):
+        x[r] -= off[r] * x[r + 1]
+        x[r] /= piv[r]
+    return x
+
+
+def _mode_green(piv, ell, off) -> np.ndarray:
+    """The inverse of every tridiagonal T_k from its factors: one Thomas
+    sweep over all its columns, vectorized over the modes k.  Entry
+    [k, r, j] of the result is T_k^-1[r, j]."""
+    m, n = piv.shape
+    # row-major in r, so that each step of the sweep reads contiguous rows
+    x = np.zeros((m, n, m), dtype=complex)
+    x[np.arange(m), :, np.arange(m)] = 1.0
+    return _thomas_sweep(piv, ell, off, x).transpose(1, 0, 2)
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal type-I sine transform S[i, k] = sqrt(2 / (n + 1))
+    sin(i k pi / (n + 1)), i, k = 1..n: symmetric, and its own inverse."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
 
 
 def _ring_gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -381,8 +416,7 @@ def _ring_gather(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     # position along it; a corner takes the end of its row, where it couples to nothing
     seg = np.select([rows == 0, rows == m + 1, cols == 0], [0, 1, 2], 3)
     along = np.where(seg < 2, np.clip(cols, 1, n), rows) - 1
-    k = np.arange(1, n + 1)
-    S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+    S = _sine_matrix(n)
     ends = M[:, :, [0, m - 1]]                     # each M_k's first and last column
     edge = S[[0, -1]]                              # sine weights of the ring columns
     weights = (edge[:, None, :] * edge[None, :, :]).reshape(4, n)
@@ -462,7 +496,9 @@ def bottom_modes(mesh: Mesh, adms) -> np.ndarray:
 
 
 class FemSystem:
-    """Complex-symmetric stiffness with a factorized interior block."""
+    """Complex-symmetric stiffness and the solves of its interior block: per
+    sine mode Thomas factors on a mesh with a node grid, SuperLU (`lu`) on
+    any other mesh, each formed once per system on first use."""
 
     def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh
@@ -479,6 +515,8 @@ class FemSystem:
 
     @property
     def lu(self):
+        """SuperLU factors of A_II, formed on first use: the interior solves
+        of a mesh without a node grid."""
         if self._lu is None:
             ii = self.interior
             self._lu = splu(self.matrix[np.ix_(ii, ii)].tocsc())
@@ -520,14 +558,35 @@ class FemSystem:
         """The interior solve that `schur` and `derivatives` read, formed once
         like `lu`: X = A_II^-1 A_IB through SuperLU, or on a mesh with a node
         grid the ring couplings c, the ring gather R of A_II^-1 and every
-        mode's Green function G_k = T_k^-1 (see `schur`)."""
+        mode's Green function G_k = T_k^-1 from `_mode_factors` (see
+        `schur`)."""
         grid = self.mesh.grid       # None: SuperLU
         if grid is None:
             return self.lu.solve(self._a_ib.toarray())
-        diag, horiz, vert, c = (_combine(self.adm, x) for x in _grid_couplings(self.mesh))
-        T = _sine_modes(diag[1:-1], horiz[1:-1], grid.shape[1] - 2)
-        G = _mode_green(T, vert[1:-1])
+        c = _combine(self.adm, _grid_couplings(self.mesh)[3])
+        G = _mode_green(*self._mode_factors)
         return c, _ring_gather(G, *np.divmod(self.boundary, grid.shape[1])), G
+
+    @functools.cached_property
+    def _mode_factors(self):
+        """On a mesh with a node grid, the Thomas factors of every sine mode's
+        tridiagonal T_k over the interior node rows (see `schur`), formed
+        once like `lu`: `solve` sweeps them, and `_mode_green` inverts them
+        for `schur` and `derivatives`."""
+        diag, horiz, vert = (_combine(self.adm, x) for x in _grid_couplings(self.mesh)[:3])
+        T = _sine_modes(diag[1:-1], horiz[1:-1], self.mesh.grid.shape[1] - 2)
+        return _thomas_factors(T, vert[1:-1])
+
+    def _mode_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A_II^-1 rhs on a mesh with a node grid, with no sparse
+        factorization: the sine transform along the node rows, one Thomas
+        sweep of `_mode_factors` over the rows for every mode at once, and
+        the transform back.  The interior nodes are `grid[1:-1, 1:-1]` in
+        row-major order, so `rhs` reshapes to (rows, columns)."""
+        piv, ell, off = self._mode_factors
+        S = _sine_matrix(piv.shape[1])
+        x = _thomas_sweep(piv, ell, off, rhs.reshape(len(piv), -1) @ S)
+        return (x @ S).ravel()
 
     def derivatives(self) -> list:
         """Derivatives d Lam / d gamma_j of the full Schur complement, one
@@ -578,16 +637,29 @@ class FemSystem:
 
     def solve(self, trace, load=None) -> "FieldSolution":
         """Dirichlet solve: boundary values `trace`, nodal right-hand side
-        `load` (zero when omitted) tested against the interior hats."""
+        `load` of shape (n_nodes,) (zero when omitted) tested against the
+        interior hats.
+
+        The interior block is solved through `_mode_solve` on a mesh with a
+        node grid and through SuperLU on any other mesh.  Either way the
+        residual against the assembled matrix must be at most 1e-8, or
+        SolverError is raised."""
         f = np.asarray(trace, dtype=complex)
         if f.shape != self.boundary.shape:
             raise ValueError("trace length does not match the boundary node count")
+        if load is not None:
+            load = np.asarray(load)
+            if load.shape != (self.mesh.n_nodes,):
+                raise ValueError("load length does not match the node count")
         u = np.zeros(self.mesh.n_nodes, dtype=complex)
         u[self.boundary] = f
         rhs = -(self._a_ib @ f)
         if load is not None:
             rhs += load[self.interior]
-        u[self.interior] = self.lu.solve(rhs)
+        if self.mesh.grid is None:
+            u[self.interior] = self.lu.solve(rhs)
+        else:
+            u[self.interior] = self._mode_solve(rhs)
         sol = FieldSolution(mesh=self.mesh, values=u, trace=f)
         res = self.residual(sol, load)
         if not res <= 1e-8:                  # NaN fails every comparison
@@ -725,7 +797,7 @@ class FieldSolution:
         cand = table[ij[:, 0] * shape[1] + ij[:, 1]]       # (n, fullest cell)
         tri = np.maximum(cand, 0)
         # signed-area barycentric against the candidates of each point's cell
-        tp = self.mesh.tri_points()[tri]
+        tp = self.mesh.nodes[self.mesh.triangles[tri]]
         x0, y0 = tp[..., 0, 0], tp[..., 0, 1]
         e1 = tp[..., 1, :] - tp[..., 0, :]
         e2 = tp[..., 2, :] - tp[..., 0, :]

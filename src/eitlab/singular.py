@@ -325,7 +325,8 @@ def _edge_flux(sol: SingularSolution, ends: np.ndarray, jump: np.ndarray) -> np.
 
 
 class CorrectorSolver:
-    """Factorizes one admittivity once and serves many source points."""
+    """Holds one admittivity's system, whose interior factors are formed
+    once, and serves many source points."""
 
     def __init__(self, mesh: Mesh, adm: Admittivity):
         self.mesh = mesh

@@ -555,16 +555,9 @@ def test_rerun_into_same_out_dir_rewrites_identical_outputs(tmp_path, kind):
 
 
 def test_corrector_residual_failure_exits_3(tmp_path, capsys, monkeypatch):
-    factorize = FemSystem.lu.fget
-
-    class Skewed:
-        def __init__(self, system):
-            self.lu = factorize(system)
-
-        def solve(self, rhs):
-            return 1.01 * self.lu.solve(rhs)
-
-    monkeypatch.setattr(FemSystem, "lu", property(Skewed))
+    # the config's generated mesh solves through its sine modes: skew that solve
+    solve = FemSystem._mode_solve
+    monkeypatch.setattr(FemSystem, "_mode_solve", lambda system, rhs: 1.01 * solve(system, rhs))
     cfg = write_config(tmp_path, _ASYMPTOTICS)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "residual" in capsys.readouterr().err

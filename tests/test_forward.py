@@ -649,6 +649,62 @@ def test_grid_couplings_are_read_once_per_mesh():
         assert m._cache["boundary_blocks"] is blocks
 
 
+@pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (3, True, 1 / 64), (4, False, 1 / 48)],
+                         ids=["h30-extension", "h64-extension", "4-strips-h48"])
+def test_grid_solve_matches_superlu_with_no_factorization(monkeypatch, n, ext, h):
+    # the sine-mode solve against SuperLU on the same assembled A_II; at
+    # h = 1/30 the node columns are not evenly spaced in floating point.
+    # measured: <= 1.4e-14 relative, residual <= 7e-16
+    m = el.generate_mesh(el.build_partition(n, with_extension=ext), h)
+    a = Admittivity(_STRIP_VALUES[:n])
+    factorized = []
+    factorize = forward.splu
+    monkeypatch.setattr(forward, "splu", lambda A: factorized.append(A) or factorize(A))
+    rng = np.random.default_rng(20101008)
+    system = assemble(m, a)
+    trace = rng.standard_normal(len(system.boundary)) + 1j * rng.standard_normal(len(system.boundary))
+    load = rng.standard_normal(m.n_nodes) + 1j * rng.standard_normal(m.n_nodes)
+    u = system.solve(trace, load=load)
+    assert factorized == []
+    assert system.residual(u, load) <= 1e-13
+    A, ii, bb = system.matrix, system.interior, system.boundary
+    ref = factorize(A[np.ix_(ii, ii)].tocsc()).solve(load[ii] - A[np.ix_(ii, bb)] @ trace)
+    assert np.abs(u.values[ii] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(u.values[bb], trace)
+
+
+def test_grid_solve_shares_the_mode_factors_with_schur_and_derivatives():
+    # a solve forms the Thomas factors that schur and derivatives then read,
+    # so neither moves by a bit for a solve before them
+    m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 30)
+    a = Admittivity(_STRIP_VALUES[:3])
+    alone = assemble(m, a)
+    solved = assemble(m, a)
+    solved.solve(np.ones(len(solved.boundary)))
+    factors = solved.__dict__["_mode_factors"]
+    assert solved.schur().tobytes() == alone.schur().tobytes()
+    assert [x.tobytes() for x in solved.derivatives()] == [x.tobytes() for x in alone.derivatives()]
+    assert solved.__dict__["_mode_factors"] is factors
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "read-mesh"])
+def test_solve_rejects_a_load_of_the_wrong_shape(monkeypatch, tmp_path, grid):
+    # before any factorization or sweep
+    m = (el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16) if grid
+         else _read_back(tmp_path))
+    system = assemble(m, Admittivity(_STRIP_VALUES[:3]))
+
+    def no_solve(*args):
+        raise AssertionError("a bad load reached the solver")
+    monkeypatch.setattr(forward, "splu", no_solve)
+    monkeypatch.setattr(forward, "_thomas_sweep", no_solve)
+    trace = np.ones(len(system.boundary))
+    for shape in ((m.n_nodes + 1,), (m.n_nodes - 1,), (m.n_nodes, 1)):
+        with pytest.raises(ValueError, match="^load length does not match the node count$"):
+            system.solve(trace, load=np.ones(shape))
+    assert "_mode_factors" not in system.__dict__ and system._lu is None
+
+
 # run in a fresh interpreter, whose heap no other test has shaped; prints the
 # page faults of three factorizations of the same system, one after another
 _REFACTOR_SCRIPT = """

@@ -74,8 +74,18 @@ def test_link_on_a_mesh_without_partition_raises_placement_error(load_meshes):
 
 
 def test_corrector_residual_failure_raises_solver_error(monkeypatch):
+    # a generated mesh solves through its sine modes: skew that solve
     m = el.generate_mesh(el.build_partition(2), 1 / 16)
     sv = CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j]))
+    solve = FemSystem._mode_solve
+    monkeypatch.setattr(FemSystem, "_mode_solve", lambda system, rhs: 1.01 * solve(system, rhs))
+    with pytest.raises(SolverError):
+        sv.correction(np.array([0.51, 0.3]))
+
+
+def test_superlu_corrector_residual_failure_raises_solver_error(monkeypatch, load_meshes):
+    # a read-back mesh has no node grid and solves through SuperLU: skew that
+    sv = CorrectorSolver(load_meshes[1 / 32][1], _LOAD_GAMMA)
     factorize = FemSystem.lu.fget
 
     class Skewed:
@@ -87,7 +97,7 @@ def test_corrector_residual_failure_raises_solver_error(monkeypatch):
 
     monkeypatch.setattr(FemSystem, "lu", property(Skewed))
     with pytest.raises(SolverError):
-        sv.correction(np.array([0.51, 0.3]))
+        sv.correction(np.array([0.49, 0.42]))
 
 
 def test_default_link(strip_solver):
