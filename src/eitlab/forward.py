@@ -34,9 +34,6 @@ keep each region's entries under their sorted row-major keys
 matrices of `region_stiffness`, SuperLU (`splu`) and `solve_real_system`.
 So the sine modes, and with them a bottom-arc sweep, load no scipy, and a
 grid solve loads `scipy.sparse` for its assembled matrix but not SuperLU.
-The first SuperLU factorization of a process also has glibc's malloc keep
-freed blocks in the heap (`_keep_freed_heap`), so each factorization's
-workspace costs the same page faults, run after run.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -197,35 +194,9 @@ def _tri_bins(mesh: Mesh):
     return mesh._cache["tri_bins"]
 
 
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Have glibc's malloc take blocks up to 32 MiB from the heap and keep
-    them there once freed.
-
-    SuperLU takes its workspace through malloc: about 32 MB at h = 1/64,
-    sized from the matrix whatever the fill.  By default glibc hands the top
-    of the heap back to the system once a free leaves more than its trim
-    threshold there, and whether a freed workspace reaches the top depends on
-    where the process's other live blocks happen to lie.  So one process
-    faulted every factorization's workspace in afresh and the next, running
-    the same ops, none.  32 MiB is the most that glibc's own adjustment of
-    its mmap threshold would reach.  Elsewhere than glibc this does nothing.
-    """
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, -1)           # -1: never trim
-
-
 def splu(A):
     """SuperLU factorization of a sparse matrix; scipy loads on first call."""
     import scipy.sparse.linalg
-    _keep_freed_heap()
     return scipy.sparse.linalg.splu(A)
 
 

@@ -55,8 +55,8 @@ def omega(t, n: int = 3):
     """Two-branch modulus: |log t|^(-(n-2)/4) for t <= e^-n, capped above."""
     _check_dim(n)
     arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("modulus argument must be positive")
+    if not np.all(arr > 0.0):               # NaN fails too
+        raise ValueError("modulus argument must be positive and not NaN")
     p = (n - 2) / 4.0
     cap = float(n) ** (-p)
     small = arr < math.exp(-n)
@@ -112,8 +112,8 @@ def delta_recursion(eps: float, E: float, C: float, M: int, n: int = 3) -> Delta
     b_k = (C+1)^k (E+eps) omega_k(t_0), reported together with its closed
     form for the cross-check b_M == closed form.
     """
-    if eps < 0 or E < 0 or C <= 0 or M < 0:
-        raise ValueError("need eps, E >= 0, C > 0, M >= 0")
+    if not (0 <= eps < math.inf and 0 <= E < math.inf and 0 < C < math.inf) or M < 0:
+        raise ValueError("need finite eps, E >= 0, finite C > 0, M >= 0")
     if eps == 0.0 and E == 0.0:
         zeros = tuple(0.0 for _ in range(M + 1))
         return DeltaRecursion(zeros, zeros, 0.0, 0.0)
@@ -147,6 +147,10 @@ class TowerFloat:
 
     depth: int
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"tower value must be finite, got {self.value}")
 
     @staticmethod
     def from_float(x: float) -> "TowerFloat":
@@ -183,12 +187,12 @@ class TowerFloat:
         return c   # additive term vanishes at this magnitude
 
     def mul(self, a: float) -> "TowerFloat":
-        if a <= 0:
-            raise ValueError("tower values are positive; factor must be > 0")
+        if not 0 < a < math.inf:
+            raise ValueError("tower values are positive; factor must be finite and > 0")
         c = self._canonical()
-        if c.depth == 0:
+        if c.depth == 0 and math.isfinite(c.value * a):
             return TowerFloat.from_float(c.value * a)
-        return c.ln().add_float(math.log(a)).exp()
+        return c.ln().add_float(math.log(a)).exp()   # also a product past the float range
 
     def to_float(self) -> float:
         c = self._canonical()
@@ -222,8 +226,8 @@ class ConstantTracker:
 
     def __post_init__(self):
         _check_dim(self.n)
-        if self.c_base <= 0:
-            raise ValueError("base constant must be positive")
+        if not 0 < self.c_base < math.inf:
+            raise ValueError("base constant must be positive and finite")
 
 
 @dataclass(frozen=True)

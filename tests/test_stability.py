@@ -21,6 +21,7 @@ def test_omega_branch_continuity():
     assert omega(math.exp(-3) * (1 + 1e-12), 3) == pytest.approx(3 ** -0.25, rel=1e-9)
     assert omega(0.5, 3) == 3 ** -0.25          # capped branch
     assert omega(123.0, 3) == 3 ** -0.25
+    assert omega(math.inf, 3) == 3 ** -0.25     # every t > e^-n takes the cap
 
 
 def test_omega_rejects_bad_inputs():
@@ -32,6 +33,22 @@ def test_omega_rejects_bad_inputs():
         omega(0.5, 2)        # degenerate dimension
     with pytest.raises(ValueError):
         omega_inverse(0.9, 3)   # above the increasing-branch range
+
+
+@pytest.mark.parametrize("call, args", [
+    (omega, (math.nan,)),
+    (omega, (np.array([1e-3, math.nan]),)),
+    (delta_recursion, (math.nan, 1.0, 1.0, 2)),
+    (delta_recursion, (math.inf, 1.0, 1.0, 2)),
+    (delta_recursion, (1e-3, math.nan, 1.0, 2)),
+    (delta_recursion, (1e-3, math.inf, 1.0, 2)),
+    (delta_recursion, (1e-3, 1.0, math.nan, 2)),
+    (ConstantTracker, (3, math.nan)),
+], ids=["omega-nan", "omega-array-nan", "eps-nan", "eps-inf", "E-nan", "E-inf", "C-nan",
+        "c_base-nan"])
+def test_the_stability_calculus_rejects_non_finite_numbers(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 def test_omega_inverse_closed_form():
@@ -104,6 +121,22 @@ def test_tower_float_basics():
     assert TowerFloat.from_float(3.0) < TowerFloat.from_float(4.0)
     assert TowerFloat.from_float(700.0) < c
     assert c.mul(10.0)._key() > c._key()
+
+
+def test_tower_float_takes_values_past_the_float_range_through_logs():
+    # exp(exp(log(log 600 + log 1e308))): the depth-0 product overflows a float
+    t = TowerFloat.from_float(600.0).mul(1e308)
+    assert t.depth == 2
+    assert t.value == pytest.approx(math.log(math.log(600.0) + math.log(1e308)), rel=1e-15)
+    # a non-finite value or factor raises rather than looping in _canonical
+    with pytest.raises(ValueError):
+        TowerFloat.from_float(math.inf)
+    with pytest.raises(ValueError):
+        TowerFloat.from_float(math.nan)
+    with pytest.raises(ValueError):
+        TowerFloat.from_float(2.0).mul(math.nan)
+    with pytest.raises(ValueError):
+        constant_bound(1, ConstantTracker(c_base=math.inf))
 
 
 def test_constant_bound_single_region():
