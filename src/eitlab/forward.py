@@ -14,26 +14,30 @@ tridiagonal T_k per mode, and each T_k is factored once per system
 (`_thomas_factors`).  A Dirichlet solve transforms its right-hand side,
 sweeps those factors over the rows for every mode at once and transforms
 back; the boundary Schur complement and its derivatives in the strip values
-read every mode's Green function T_k^-1, swept from the same factors.  No
-grid path factorizes a sparse matrix.  The Schur complement combines each
-region's couplings, read once per mesh, with no assembly: `FemSystem.matrix`
-is assembled when a solve, its residual check or SuperLU first reads it.
-The couplings lie in the rows of grid column 1 and of the boundary, so they
-are read from the band of triangles that touch those nodes: each such row
-sums the same triangles in the same order as the whole-mesh assembly, and is
-bit for bit its row.  Either way `schur` forms the full map, whose principal
-blocks are the arcs' maps, and `derivatives` reads the same interior solve,
-formed once per system.  The bottom arc alone has its own grid path,
-`bottom_modes`: its map needs only the corner [T_k^-1]_00 of each mode's
-Green function, a continued fraction that one pass over the node rows takes
-for every mode of a whole batch of admittivities.
+read every mode's Green function T_k^-1, swept from the same factors.
+
+A grid holds its operator only as each region's couplings (`_grid_couplings`),
+read once per mesh: the column-1 row stencil, each boundary node's ring
+coupling, and K_BB as two loop vectors.  They lie in the rows of grid column
+1 and of the boundary, so they are read from the band of triangles that touch
+those nodes: each such row sums the same triangles in the same order as the
+whole-mesh assembly, and is bit for bit its row.  The Schur complement
+combines them, and a solve's right-hand side, its residual check and the
+boundary flux apply the stiffness from them (`_grid_apply`).  So no grid
+path assembles the whole-mesh stiffness or factorizes a sparse matrix:
+`FemSystem.matrix` and `lu` serve only meshes without a node grid.  Either
+way `schur` forms the full map, whose principal blocks are the arcs' maps,
+and `derivatives` reads the same interior solve, formed once per system.
+The bottom arc alone has its own grid path, `bottom_modes`: its map needs
+only the corner [T_k^-1]_00 of each mode's Green function, a continued
+fraction that one pass over the node rows takes for every mode of a whole
+batch of admittivities.
 
 Both assemblies sum each entry's duplicates in numpy, in triangle order, and
 keep each region's entries under their sorted row-major keys
 (`_assemble_regions`).  scipy is imported only where it runs: the CSR
 matrices of `region_stiffness`, SuperLU (`splu`) and `solve_real_system`.
-So the sine modes, and with them a bottom-arc sweep, load no scipy, and a
-grid solve loads `scipy.sparse` for its assembled matrix but not SuperLU.
+So no grid path loads scipy, neither a solve nor a bottom-arc sweep.
 
 `solve_real_system` re-solves the same problem as the equivalent 2x2 real
 system in (Re u, Im u), which is the cross-check used to validate the complex
@@ -239,14 +243,12 @@ def _assemble_regions(mesh: Mesh, triangles, tri_region, area, grads) -> dict:
 def _entries(K: tuple, pairs, n: int) -> list:
     """Entries at each (p, q) in `pairs` of an n x n matrix K = (keys,
     entries) from `_assemble_regions`, 0 where none is stored: one
-    `searchsorted` of the row-major keys p * n + q per pair."""
+    `searchsorted` of the row-major keys p * n + q of every pair."""
     key, data = K
-    out = []
-    for p, q in pairs:
-        want = p * n + q
-        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        out.append(np.where(key[at] == want, data[at], 0.0))
-    return out
+    want = np.concatenate([p * n + q for p, q in pairs])
+    at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    return np.split(np.where(key[at] == want, data[at], 0.0),
+                    np.cumsum([len(p) for p, _ in pairs])[:-1])
 
 
 def _band_stiffness(mesh: Mesh) -> dict:
@@ -268,20 +270,31 @@ def _band_stiffness(mesh: Mesh) -> dict:
     return mesh._cache["band_stiffness"]
 
 
-def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
-    """Each region's couplings that the sine modes read, once per mesh with a
-    node grid: dicts from label to the diagonal and horizontal coupling of
-    each node row and the vertical coupling of each pair of consecutive rows,
-    all at column 1, and to each boundary node's coupling to its neighbour on
-    the ring of interior nodes (exactly 0 at the four corners).  Each lies in
-    the row of a column-1 or boundary node, so `_band_stiffness` gives it bit
-    for bit as `region_stiffness` would, with no whole-mesh assembly."""
+def _ring_nodes(mesh: Mesh) -> np.ndarray:
+    """Each boundary node's neighbour on the ring of interior nodes next to
+    the boundary, on a mesh with a node grid; a corner's is diagonal to it."""
+    grid = mesh.grid
+    rows, cols = np.divmod(mesh.boundary_nodes, grid.shape[1])
+    return grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
+
+
+def _grid_couplings(mesh: Mesh) -> tuple[dict, ...]:
+    """Each region's couplings, once per mesh with a node grid: dicts from
+    label to the diagonal and horizontal coupling of each node row and the
+    vertical coupling of each pair of consecutive rows, all at column 1
+    (what the sine modes read); each boundary node's coupling to its
+    neighbour on the ring of interior nodes (exactly 0 at the four corners);
+    and K_BB as two loop vectors, each boundary node's diagonal and its
+    coupling to the next node of the boundary loop.  Every other K_BB entry
+    is the exact 0 of a right triangle's hypotenuse (`_loop_block`).  Each
+    lies in the row of a column-1 or boundary node, so `_band_stiffness`
+    gives it bit for bit as `region_stiffness` would, with no whole-mesh
+    assembly."""
     if "grid_couplings" not in mesh._cache:
         grid, bb = mesh.grid, mesh.boundary_nodes
         col = grid[:, 1]
-        rows, cols = np.divmod(bb, grid.shape[1])
-        ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
-        pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
+        pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]),
+                 (bb, _ring_nodes(mesh)), (bb, bb), (bb, np.roll(bb, -1)))
         parts = {lbl: _entries(K, pairs, mesh.n_nodes)
                  for lbl, K in _band_stiffness(mesh).items()}
         mesh._cache["grid_couplings"] = tuple(
@@ -289,21 +302,33 @@ def _grid_couplings(mesh: Mesh) -> tuple[dict, dict, dict, dict]:
     return mesh._cache["grid_couplings"]
 
 
-def _boundary_blocks(mesh: Mesh) -> dict:
-    """Each region's K_BB as a dense array, read once per mesh like
-    `_grid_couplings`, from the boundary nodes' rows of `_band_stiffness`."""
-    if "boundary_blocks" not in mesh._cache:
-        bb = mesh.boundary_nodes
-        at = np.full(mesh.n_nodes, -1)        # each node's boundary position
-        at[bb] = np.arange(len(bb))
-        blocks = {}
-        for lbl, (key, data) in _band_stiffness(mesh).items():
-            r, c = at[np.stack(np.divmod(key, mesh.n_nodes))]
-            on = (r >= 0) & (c >= 0)
-            blocks[lbl] = np.zeros((len(bb), len(bb)))
-            blocks[lbl][r[on], c[on]] = data[on]
-        mesh._cache["boundary_blocks"] = blocks
-    return mesh._cache["boundary_blocks"]
+def _loop_block(diag: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """K_BB, dense, from the loop vectors of `_grid_couplings`: the diagonal
+    and the coupling of each boundary node to the next and, by symmetry, the
+    previous node of the loop.  Every other entry is 0."""
+    i = np.arange(len(diag))
+    K = np.diag(diag)
+    K[i, i - 1] = K[i - 1, i] = np.roll(step, 1)
+    return K
+
+
+def _grid_apply(mesh: Mesh, adm: Admittivity, u: np.ndarray) -> np.ndarray:
+    """The stiffness times the nodal vector u on a mesh with a node grid,
+    from the combined couplings of `_grid_couplings`, with no assembly.
+
+    An interior row applies the column-1 Kronecker stencil that `schur` and
+    `_mode_factors` assume, and a boundary row K_BB plus its ring coupling:
+    no other entry of the stiffness is nonzero.  The mesh may hold any
+    subset of the admittivity's region labels."""
+    diag, horiz, vert, ring, loop, step = (_combine(adm, x) for x in _grid_couplings(mesh))
+    U, f = u[mesh.grid], u[mesh.boundary_nodes]
+    out = np.empty(len(u), dtype=complex)
+    out[mesh.grid[1:-1, 1:-1]] = (diag[1:-1, None] * U[1:-1, 1:-1]
+                                  + horiz[1:-1, None] * (U[1:-1, :-2] + U[1:-1, 2:])
+                                  + vert[:-1, None] * U[:-2, 1:-1] + vert[1:, None] * U[2:, 1:-1])
+    out[mesh.boundary_nodes] = (loop * f + step * np.roll(f, -1) + np.roll(step * f, 1)
+                                + ring * u[_ring_nodes(mesh)])
+    return out
 
 
 def _combine(adm: Admittivity, parts: dict):
@@ -423,11 +448,6 @@ def _check_labels(mesh: Mesh, adm: Admittivity) -> None:
             f"{adm.n}-strip admittivity")
 
 
-def stiffness(mesh: Mesh, adm: Admittivity) -> sp.csr_matrix:
-    """Complex stiffness: sum over the mesh's region labels j of gamma_j K_j."""
-    return _combine(adm, region_stiffness(mesh))
-
-
 def bottom_modes(mesh: Mesh, adms) -> np.ndarray:
     """Mode values of the bottom arc's map on a mesh with a node grid, one
     row of n values per admittivity in the sequence `adms`.
@@ -481,8 +501,9 @@ class FemSystem:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The complex stiffness, assembled on first use."""
-        return stiffness(self.mesh, self.adm)
+        """The complex stiffness sum_j gamma_j K_j over the mesh's region
+        labels j, assembled on first use."""
+        return _combine(self.adm, region_stiffness(self.mesh))
 
     @property
     def lu(self):
@@ -492,11 +513,6 @@ class FemSystem:
             ii = self.interior
             self._lu = splu(self.matrix[np.ix_(ii, ii)].tocsc())
         return self._lu
-
-    @functools.cached_property
-    def _a_ib(self) -> sp.csr_matrix:
-        """A_IB, the interior rows' boundary columns, formed once like `lu`."""
-        return self.matrix[np.ix_(self.interior, self.boundary)]
 
     def schur(self) -> np.ndarray:
         """Boundary Schur complement A_BB - A_BI A_II^-1 A_IB: the full map,
@@ -510,7 +526,8 @@ class FemSystem:
         each node row.  The interior block is then a Kronecker sum, and each
         boundary node couples to the interior only through its neighbour on
         the ring of interior nodes next to the boundary.  These couplings and
-        A_BB combine each region's (`_grid_couplings`, `_boundary_blocks`).
+        A_BB, whose only nonzero entries are the boundary loop's three cyclic
+        diagonals (`_loop_block`), combine each region's (`_grid_couplings`).
         The rows are read at column 1; where the node columns are not evenly
         spaced in floating point (h = 1/30), the other columns differ in their
         last bits.  Any other mesh solves A_II^-1 A_IB through SuperLU.
@@ -522,7 +539,8 @@ class FemSystem:
             X = self._interior_solve
             return A[np.ix_(bb, bb)].toarray() - A[np.ix_(bb, self.interior)] @ X
         c, R, _ = self._interior_solve
-        return _combine(self.adm, _boundary_blocks(self.mesh)) - c[:, None] * R * c[None, :]
+        loop = (_combine(self.adm, x) for x in _grid_couplings(self.mesh)[4:])
+        return _loop_block(*loop) - c[:, None] * R * c[None, :]
 
     @functools.cached_property
     def _interior_solve(self):
@@ -533,7 +551,7 @@ class FemSystem:
         `schur`)."""
         grid = self.mesh.grid       # None: SuperLU
         if grid is None:
-            return self.lu.solve(self._a_ib.toarray())
+            return self.lu.solve(self.matrix[np.ix_(self.interior, self.boundary)].toarray())
         c = _combine(self.adm, _grid_couplings(self.mesh)[3])
         G = _mode_green(*self._mode_factors)
         return c, _ring_gather(G, *np.divmod(self.boundary, grid.shape[1])), G
@@ -589,8 +607,7 @@ class FemSystem:
 
         c, R, G = self._interior_solve
         rows, cols = np.divmod(bb, grid.shape[1])
-        diag, horiz, vert, ring = _grid_couplings(self.mesh)
-        blocks = _boundary_blocks(self.mesh)
+        diag, horiz, vert, ring, loop, step = _grid_couplings(self.mesh)
         out = []
         for j in strips:
             Tj = _sine_modes(diag[j][1:-1], horiz[j][1:-1], grid.shape[1] - 2)
@@ -602,7 +619,7 @@ class FemSystem:
             TG[:, :-1] += offj[lo:hi - 1, None] * G[:, lo + 1:hi]
             P = G[:, :, lo:hi] @ TG
             PR = _ring_gather(P, rows, cols)
-            out.append(blocks[j] - cj[:, None] * R * c[None, :]
+            out.append(_loop_block(loop[j], step[j]) - cj[:, None] * R * c[None, :]
                        - c[:, None] * R * cj[None, :] + c[:, None] * PR * c[None, :])
         return out
 
@@ -611,10 +628,12 @@ class FemSystem:
         `load` of shape (n_nodes,) (zero when omitted) tested against the
         interior hats.
 
-        The interior block is solved through `_mode_solve` on a mesh with a
-        node grid and through SuperLU on any other mesh.  Either way the
-        residual against the assembled matrix must be at most 1e-8, or
-        SolverError is raised."""
+        The right-hand side is load - (A u0)_I with u0 the trace on the
+        boundary and 0 inside.  The interior block is solved through
+        `_mode_solve` on a mesh with a node grid and through SuperLU on any
+        other mesh.  Either way the residual of A u (`_apply`: from the
+        couplings on a grid, from the assembled matrix on any other mesh)
+        must be at most 1e-8, or SolverError is raised."""
         f = np.asarray(trace, dtype=complex)
         if f.shape != self.boundary.shape:
             raise ValueError("trace length does not match the boundary node count")
@@ -624,13 +643,10 @@ class FemSystem:
                 raise ValueError("load length does not match the node count")
         u = np.zeros(self.mesh.n_nodes, dtype=complex)
         u[self.boundary] = f
-        rhs = -(self._a_ib @ f)
+        rhs = -self._apply(u)[self.interior]
         if load is not None:
             rhs += load[self.interior]
-        if self.mesh.grid is None:
-            u[self.interior] = self.lu.solve(rhs)
-        else:
-            u[self.interior] = self._mode_solve(rhs)
+        u[self.interior] = self.lu.solve(rhs) if self.mesh.grid is None else self._mode_solve(rhs)
         sol = FieldSolution(mesh=self.mesh, values=u, trace=f)
         res = self.residual(sol, load)
         if not res <= 1e-8:                  # NaN fails every comparison
@@ -639,15 +655,23 @@ class FemSystem:
                 "ill-conditioned (check the ellipticity bound)")
         return sol
 
+    def _apply(self, u: np.ndarray) -> np.ndarray:
+        """A u: from the couplings (`_grid_apply`) on a mesh with a node
+        grid, from the assembled matrix on any other mesh."""
+        return self.matrix @ u if self.mesh.grid is None else _grid_apply(self.mesh, self.adm, u)
+
     @functools.cached_property
     def _matrix_scale(self) -> float:
-        """Largest stiffness entry in modulus, formed once like `lu`."""
-        return max(np.abs(self.matrix.data).max(), 1e-300)
+        """Largest stiffness entry in modulus, formed once like `lu`; on a
+        mesh with a node grid, the largest combined coupling."""
+        parts = ((self.matrix.data,) if self.mesh.grid is None
+                 else (_combine(self.adm, x) for x in _grid_couplings(self.mesh)))
+        return max(max(np.abs(x).max() for x in parts), 1e-300)
 
     def residual(self, u: "FieldSolution", load=None) -> float:
         """Largest interior entry of A u - load, relative to the size of the
         field, the load and the matrix."""
-        r = self.matrix @ u.values
+        r = self._apply(u.values)
         size = np.abs(u.values).max()
         if load is not None:
             r -= load
@@ -658,7 +682,7 @@ class FemSystem:
     def boundary_flux(self, u: "FieldSolution") -> np.ndarray:
         """Boundary residual of a solved field: its discrete conormal flux,
         which is the DtN map applied to the field's trace."""
-        return (self.matrix @ u.values)[self.boundary]
+        return self._apply(u.values)[self.boundary]
 
 
 def assemble(mesh: Mesh, adm: Admittivity) -> FemSystem:
@@ -692,14 +716,11 @@ def solve_real_system(mesh: Mesh, adm: Admittivity, f) -> "FieldSolution":
     import scipy.sparse as sp
     A = sp.bmat([[Ks, -Ke], [Ke, Ks]], format="csr")
 
-    n = mesh.n_nodes
-    bnodes = mesh.boundary_nodes
+    n, bnodes, inodes = mesh.n_nodes, mesh.boundary_nodes, mesh.interior_nodes()
     trace = boundary_trace(mesh, f) if callable(f) else np.asarray(f, dtype=complex)
     bdof = np.concatenate([bnodes, bnodes + n])
     bval = np.concatenate([trace.real, trace.imag])
-    mask = np.ones(2 * n, dtype=bool)
-    mask[bdof] = False
-    idof = np.nonzero(mask)[0]
+    idof = np.concatenate([inodes, inodes + n])
 
     u = np.zeros(2 * n)
     u[bdof] = bval
@@ -711,15 +732,9 @@ def solve_real_system(mesh: Mesh, adm: Admittivity, f) -> "FieldSolution":
 def coefficient_tensor(gamma: complex) -> np.ndarray:
     """Rank-4 coefficient c[l, j, h, k] of the equivalent real system."""
     sigma, eps = complex(gamma).real, complex(gamma).imag
-    c = np.zeros((2, 2, 2, 2))
-    for l in range(2):
-        for j in range(2):
-            for h in range(2):
-                for k in range(2):
-                    val = sigma * (h == k) * (l == j)
-                    val -= eps * (h == k) * ((l == 0) * (j == 1) - (l == 1) * (j == 0))
-                    c[l, j, h, k] = val
-    return c
+    # sigma d_hk d_lj - eps d_hk J_lj, with J the rotation [[0, 1], [-1, 0]]
+    block = sigma * np.eye(2) - eps * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return np.einsum("hk,lj->ljhk", np.eye(2), block)
 
 
 def elasticity_quadratic_form(gamma: complex, xi: np.ndarray) -> float:

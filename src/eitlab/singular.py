@@ -82,8 +82,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtn import apply_dtn
-from .forward import (Admittivity, FieldSolution, _p1_grads, assemble,
-                      solve_dirichlet, stiffness)
+from .forward import (Admittivity, FieldSolution, _grid_apply, _p1_grads, assemble,
+                      solve_dirichlet)
 from .fundsol import TwoPhaseCoeffs, laplace_gamma, laplace_gamma_grad, \
     two_phase_gamma, two_phase_gamma_grad
 from .geometry import GeometryError, Mesh, Partition, Rect, Region, generate_mesh
@@ -659,8 +659,10 @@ def probe_field_residual(solver1: CorrectorSolver, solver2: CorrectorSolver,
     """Weak-divergence residual of y -> S_k(y, z) sampled on a box grid.
 
     The sampled field is interpolated on a conforming grid of the box and
-    tested against every interior hat with the first admittivity's stiffness;
-    for the true probe field the residual vanishes under grid refinement.
+    tested against every interior hat with the first admittivity's stiffness,
+    applied from the box grid's couplings (`_grid_apply`: the box keeps only
+    the strip labels it straddles); for the true probe field the residual
+    vanishes under grid refinement.
     Returns (max residual, sampled values, box mesh).
     """
     p = solver1.mesh.partition
@@ -668,7 +670,7 @@ def probe_field_residual(solver1: CorrectorSolver, solver2: CorrectorSolver,
     bmesh = generate_mesh(bp, h_box)
     svals = s_k_on_grid(solver1, solver2, k, z, bmesh.nodes, link2)
 
-    resid = stiffness(bmesh, solver1.adm) @ svals
+    resid = _grid_apply(bmesh, solver1.adm, svals)
     interior = bmesh.interior_nodes()
     scale = max(np.abs(svals).max(), 1e-300)
     return float(np.abs(resid[interior]).max() / scale), svals, bmesh

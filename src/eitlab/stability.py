@@ -11,6 +11,7 @@ representation rather than raw floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ __all__ = [
 ]
 
 TAU = math.log(4.0 / 3.0) / math.log(4.0)
+
+
+def _check_count(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_dim(n: int) -> None:
@@ -85,6 +91,7 @@ def omega_inverse_log(y, n: int = 3) -> float:
 
 def omega_iterate(t, k: int, n: int = 3):
     """k-fold self-composition of the modulus."""
+    _check_count(k, "iteration count")
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     out = float(t)
@@ -110,23 +117,32 @@ def delta_recursion(eps: float, E: float, C: float, M: int, n: int = 3) -> Delta
     amplitude by (C+1) times itself, starting from t_0 = eps/(eps+E) and
     amplitude eps+E; the resulting bound sequence is
     b_k = (C+1)^k (E+eps) omega_k(t_0), reported together with its closed
-    form for the cross-check b_M == closed form.
+    form for the cross-check b_M == closed form.  b_0 = eps exactly; eps + E
+    is never formed, so a bound is inf only where it leaves the float range,
+    and so is its closed form.  eps = 0 gives t_0 = 0 and every bound 0.
     """
+    _check_count(M, "link count M")
     if not (0 <= eps < math.inf and 0 <= E < math.inf and 0 < C < math.inf) or M < 0:
         raise ValueError("need finite eps, E >= 0, finite C > 0, M >= 0")
-    if eps == 0.0 and E == 0.0:
+    if eps == 0.0:
         zeros = tuple(0.0 for _ in range(M + 1))
         return DeltaRecursion(zeros, zeros, 0.0, 0.0)
 
-    t = eps / (eps + E)
-    amp = eps + E
-    bounds = [amp * t]
+    big = max(eps, E)       # eps + E may overflow, so it is carried as big * amp
+    amp = eps / big + E / big
+    # where eps / (eps + E) underflows, the smallest float: omega increases, so
+    # the bounds can only grow
+    t0 = t = max(eps / big / amp, math.ulp(0.0))
+    bounds = [eps]          # (eps + E) t_0
     for _ in range(M):
-        t = omega(t, n) if t > 0.0 else 0.0
+        t = omega(t, n)
         amp *= (C + 1.0)
-        bounds.append(amp * t)
-    t0 = eps / (eps + E)
-    closed = (C + 1.0) ** M * (E + eps) * (omega_iterate(t0, M, n) if t0 > 0 else 0.0)
+        bounds.append(amp * t * big)
+    try:
+        grow = (C + 1.0) ** M
+    except OverflowError:
+        grow = math.inf
+    closed = grow * (eps / big + E / big) * omega_iterate(t0, M, n) * big
     deltas = tuple(max(b - eps, 0.0) for b in bounds)
     return DeltaRecursion(deltas, tuple(bounds), bounds[-1], closed)
 
@@ -253,6 +269,7 @@ def constant_bound(N: int, tracker: ConstantTracker) -> ConstantBound:
     L_j = exp(4/(n-2) * L_{j-1}); the result is an exponential tower of
     height N and is returned as a TowerFloat of its log10.
     """
+    _check_count(N, "region count")
     if N < 1:
         raise ValueError("region count must be at least 1")
     C = tracker.c_base

@@ -3,12 +3,11 @@ import pytest
 
 import eitlab as el
 from eitlab import forward
-from eitlab.forward import (Admittivity, EllipticityError, _boundary_blocks, _combine,
-                            _grid_couplings, _sine_modes, assemble, bottom_modes,
-                            caccioppoli_ratio, coefficient_tensor,
+from eitlab.forward import (Admittivity, EllipticityError, _combine, _grid_apply,
+                            _grid_couplings, _loop_block, _sine_modes, assemble,
+                            bottom_modes, caccioppoli_ratio, coefficient_tensor,
                             elasticity_quadratic_form, field_from_function,
-                            region_stiffness, solve_dirichlet, solve_real_system,
-                            stiffness)
+                            region_stiffness, solve_dirichlet, solve_real_system)
 from eitlab.geometry import GeometryError, Mesh, _write_csv
 from eitlab.stability import random_harmonic_polynomial, stability_sweep
 
@@ -485,19 +484,36 @@ _STRIP_VALUES = [1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j, 1.1, 1.5 - 0.2j, 2.0 + 0.4j
                               "6-strips-h40-extension", "h128"])
 def test_combined_grid_couplings_are_the_assembled_entries_bit_for_bit(n, ext, h):
     # each region's couplings, combined in label order, sum every entry in
-    # the order that assembles the stiffness
+    # the order that assembles the stiffness; K_BB rebuilt from the loop
+    # vectors holds the assembled block's every byte, its hypotenuse zeros too
     m = el.generate_mesh(el.build_partition(n, with_extension=ext), h)
     a = Admittivity(_STRIP_VALUES[:n])
-    A = stiffness(m, a)
+    A = assemble(m, a).matrix
     grid, bb = m.grid, m.boundary_nodes
     col = grid[:, 1]
     rows, cols = np.divmod(bb, grid.shape[1])
     ring = grid[np.clip(rows, 1, grid.shape[0] - 2), np.clip(cols, 1, grid.shape[1] - 2)]
-    pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring))
-    for parts, (p, q) in zip(_grid_couplings(m), pairs):
+    pairs = ((col, col), (col, grid[:, 0]), (col[:-1], col[1:]), (bb, ring),
+             (bb, bb), (bb, np.roll(bb, -1)))
+    couplings = _grid_couplings(m)
+    for parts, (p, q) in zip(couplings, pairs, strict=True):
         assert _combine(a, parts).tobytes() == np.asarray(A[p, q]).ravel().tobytes()
-    combined = _combine(a, _boundary_blocks(m))
+    combined = _loop_block(*(_combine(a, x) for x in couplings[4:]))
     assert combined.tobytes() == A[np.ix_(bb, bb)].toarray().tobytes()
+    for lbl, K in region_stiffness(m).items():         # each K_j,BB, as `derivatives` reads it
+        block = _loop_block(couplings[4][lbl], couplings[5][lbl])
+        assert block.tobytes() == K[np.ix_(bb, bb)].toarray().tobytes()
+
+
+def test_grid_stiffness_action_matches_the_assembled_matrix(strip_mesh):
+    # interior rows from the column-1 stencil, boundary rows from K_BB and
+    # the ring couplings; measured: <= 1.6e-15 (offset-rect-ext)
+    m, a = strip_mesh
+    A = assemble(m, a).matrix
+    rng = np.random.default_rng(20101008)
+    u = rng.standard_normal(m.n_nodes) + 1j * rng.standard_normal(m.n_nodes)
+    err = np.abs(_grid_apply(m, a, u) - A @ u).max()
+    assert err <= 1e-14 * np.abs(A.data).max() * np.abs(u).max()
 
 
 
@@ -560,18 +576,33 @@ def test_bottom_modes_rows_do_not_depend_on_the_batch(n, ext, h):
             assert row.tobytes() == alone[i].tobytes()
     assert bottom_modes(m, []).shape == (0, m.grid.shape[1] - 2)
 
-def test_grid_schur_and_derivatives_assemble_no_stiffness():
+def test_grid_schur_and_derivatives_assemble_no_stiffness(monkeypatch, tmp_path):
+    # on a grid, schur, derivatives, a solve with its residual, the boundary
+    # flux and the probe residual of a box grid read only the couplings; a
+    # disk mesh and a read-back mesh assemble for their first solve
+    assembled = []
+    whole = forward.region_stiffness
+    monkeypatch.setattr(forward, "region_stiffness",
+                        lambda mesh: assembled.append(mesh) or whole(mesh))
     m = el.generate_mesh(el.build_partition(3, with_extension=True), 1 / 16)
-    system = assemble(m, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j]))
+    a = Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 0.8 + 0.1j])
+    system = assemble(m, a)
     system.schur()
     system.derivatives()
-    assert "matrix" not in system.__dict__
-    # a solve assembles on its first call; a SuperLU mesh assembles for schur
-    system.solve(np.ones(len(system.boundary)))
-    assert "matrix" in system.__dict__
-    disk = assemble(el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j]))
-    disk.schur()
-    assert "matrix" in disk.__dict__
+    u = system.solve(np.ones(len(system.boundary)))
+    system.residual(u)
+    system.boundary_flux(u)
+    sv1 = el.CorrectorSolver(m, a)
+    sv2 = el.CorrectorSolver(m, Admittivity([1.2 + 0.3j, 1.9 - 0.5j, 1.6]))
+    box = el.Rect(0.40, 1 / 3 - 0.12, 0.60, 1 / 3 + 0.12)
+    el.probe_field_residual(sv1, sv2, 2, np.array([0.48, -0.23]), box, 0.06, link2=1)
+    assert assembled == [] and "matrix" not in system.__dict__
+    for mesh, b in ((el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j])),
+                    (_read_back(tmp_path), a)):
+        other = assemble(mesh, b)
+        other.solve(np.ones(len(other.boundary)))
+        assert assembled == [mesh] and "matrix" in other.__dict__
+        assembled.clear()
 
 
 def test_superlu_schur_and_derivatives_share_one_interior_solve(monkeypatch, tmp_path):
@@ -607,8 +638,9 @@ class _Assembled(Exception):
 @pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (4, False, 1 / 48)],
                          ids=["h30-extension", "4-strips-h48"])
 def test_a_grid_takes_no_region_stiffness(monkeypatch, tmp_path, n, ext, h):
-    # the sine modes read each region's couplings from the band of triangles
-    # at column 1 and the boundary; only a solve or SuperLU assembles
+    # the sine modes, a solve, its residual and the boundary flux read each
+    # region's couplings from the band of triangles at column 1 and the
+    # boundary; only SuperLU assembles
     def region_stiffness(mesh):
         raise _Assembled
     monkeypatch.setattr(forward, "region_stiffness", region_stiffness)
@@ -620,12 +652,13 @@ def test_a_grid_takes_no_region_stiffness(monkeypatch, tmp_path, n, ext, h):
     system = assemble(m, a)
     system.schur()
     system.derivatives()
+    u = system.solve(np.ones(len(system.boundary)))
+    assert system.residual(u) <= 1e-13
+    system.boundary_flux(u)
     # the band writes no subset of the mesh's areas or hat gradients
     assert "p1" not in m._cache and "areas" not in m._cache
     with pytest.raises(GeometryError, match="do not match"):
         bottom_modes(m, [Admittivity(_STRIP_VALUES[:n - 1])])
-    with pytest.raises(_Assembled):
-        system.solve(np.ones(len(system.boundary)))
     with pytest.raises(_Assembled):
         assemble(el.generate_disk_mesh(0.25), Admittivity([1.5 + 0.5j])).schur()
     el.write_mesh(m, tmp_path / "mesh.txt")
@@ -633,20 +666,23 @@ def test_a_grid_takes_no_region_stiffness(monkeypatch, tmp_path, n, ext, h):
         assemble(el.read_mesh(tmp_path / "mesh.txt"), a).schur()
 
 
-def test_grid_couplings_are_read_once_per_mesh():
+def test_grid_couplings_are_read_once_per_mesh(monkeypatch):
+    # one band assembly per mesh holds the stencil, the ring couplings and
+    # K_BB's loop vectors, for the bottom arc's modes and every system
+    passes = []
+    band = forward._assemble_regions
+    monkeypatch.setattr(forward, "_assemble_regions", lambda *args: passes.append(1) or band(*args))
     m = el.generate_mesh(el.build_partition(2), 1 / 16)
     bottom_modes(m, [Admittivity([1.0, 2.0])])
     couplings = m._cache["grid_couplings"]
-    assert "boundary_blocks" not in m._cache       # the bottom arc's modes read no K_BB
-    assemble(m, Admittivity([1.0, 2.0])).schur()
-    blocks = m._cache["boundary_blocks"]
     for values in ([1.0, 2.0], [1.5 + 0.5j, 1.0], [2.0, 1.0 - 0.3j]):
         system = assemble(m, Admittivity(values))
         system.schur()
         system.derivatives()
+        system.boundary_flux(system.solve(np.ones(len(system.boundary))))
         bottom_modes(m, [Admittivity(values)])
         assert m._cache["grid_couplings"] is couplings
-        assert m._cache["boundary_blocks"] is blocks
+    assert passes == [1]
 
 
 @pytest.mark.parametrize("n, ext, h", [(3, True, 1 / 30), (3, True, 1 / 64), (4, False, 1 / 48)],

@@ -1,6 +1,7 @@
-"""Which runs load scipy: the package, an s-rate run and a bottom-arc sweep on
-a strip grid never call it, so they must not import it, and a grid's
-corrector solve never factorizes, so it must not import SuperLU."""
+"""Which runs load scipy: the package, an s-rate run, a bottom-arc sweep and
+an asymptotics run on a strip grid never call it, so they must not import
+it.  A grid's corrector solve never factorizes and reads its stiffness from
+the band couplings, so it loads neither SuperLU nor scipy.sparse."""
 
 import json
 import subprocess
@@ -21,7 +22,7 @@ def scipy_modules():
 loaded = {}
 import eitlab, eitlab.cli
 loaded["import"] = scipy_modules()
-for name in ("s_rate", "bottom_sweep", "asymptotics"):
+for name in ("s_rate", "bottom_sweep", "asymptotics", "dtn_norm"):
     eitlab.cli.run_scenario(sys.argv[2] + f"/{name}.json", out_dir=sys.argv[2] + f"/{name}")
     loaded[name] = scipy_modules()
 print(json.dumps(loaded))
@@ -46,8 +47,8 @@ _CONFIGS = {
         ],
         "params": {"arc": "bottom"},
     },
-    # the corrector solves through sine modes, and its residual check reads
-    # the assembled sparse matrix: this run loads scipy.sparse, not SuperLU
+    # the corrector solves through sine modes, and its right-hand side and
+    # residual check read the couplings: no sparse matrix is assembled
     "asymptotics": {
         "version": 1,
         "experiment": "asymptotics",
@@ -55,6 +56,16 @@ _CONFIGS = {
         "mesh": {"h": 1 / 16},
         "admittivity": {"values": [[1, 0], [2, 1]], "lambda": 10.0},
         "params": {"link": 2, "radii_over_r0": [0.25, 0.125]},
+    },
+    # the full map's fractional Gram matrix takes a dense Cholesky factor
+    "dtn_norm": {
+        "version": 1,
+        "experiment": "dtn-norm",
+        "partition": {"n_strips": 3, "with_extension": True},
+        "mesh": {"h": 1 / 16},
+        "admittivity": {"values": [[1.2, 0.3], [1.9, -0.5], [0.8, 0.1]]},
+        "admittivity_2": {"values": [[1.2, 0.3], [1.9, -0.5], [1.1, 0.4]]},
+        "params": {"arc": "full"},
     },
 }
 
@@ -69,6 +80,7 @@ def test_scipy_loads_only_for_runs_that_call_it(tmp_path):
     assert loaded["import"] == []
     assert loaded["s_rate"] == []
     assert loaded["bottom_sweep"] == []
+    assert loaded["asymptotics"] == []
     # the check sees scipy when a run does load it
-    assert "scipy.sparse" in loaded["asymptotics"]
-    assert "scipy.sparse.linalg" not in loaded["asymptotics"]
+    assert "scipy.linalg" in loaded["dtn_norm"]
+    assert "scipy.sparse" not in loaded["dtn_norm"]

@@ -335,6 +335,21 @@ def test_probe_field_weak_residual_decreases():
     assert res_fine <= res_coarse / 2.0
 
 
+def test_probe_field_residual_matches_the_assembled_stiffness():
+    # the box grid's residual from its couplings against the assembled
+    # sum_j gamma_j K_j over the labels it straddles; measured: 4.1e-15
+    p = el.build_partition(3, with_extension=True)
+    m = el.generate_mesh(p, 1 / 32)
+    a1 = Admittivity([1.0, 2.0 + 1.0j, 1.5])
+    sv1, sv2 = CorrectorSolver(m, a1), CorrectorSolver(m, Admittivity([1.0, 2.0 + 1.0j, 3.0]))
+    box = Rect(0.40, 1 / 3 - 0.12, 0.60, 1 / 3 + 0.12)
+    res, svals, bmesh = probe_field_residual(sv1, sv2, 2, np.array([0.48, -0.23]), box, 0.03,
+                                             link2=1)
+    A = sum(a1.value_for(lbl) * K for lbl, K in region_stiffness(bmesh).items())
+    ref = np.abs((A @ svals)[bmesh.interior_nodes()]).max() / np.abs(svals).max()
+    assert abs(res - ref) <= 1e-13
+
+
 @pytest.mark.parametrize("h", [1 / 16, 1 / 24, 1 / 64], ids=["h16", "h24", "h64"])
 def test_s_k_on_grid_pays_for_the_fixed_source_once(monkeypatch, h):
     p = el.build_partition(3, with_extension=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,43 @@ def test_delta_recursion_matches_closed_form(rng):
         M = int(rng.integers(1, 7))
         dr = delta_recursion(eps, E, C, M)
         assert dr.final_bound == pytest.approx(dr.closed_form, rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [(1e308, 1e308, 1.0, 2), (1e-3, 1e308, 1e308, 3),
+                                  (1e-3, 1.0, 1e300, 400)],
+                         ids=["sum-overflows", "growth-overflows", "growth-power-overflows"])
+def test_delta_recursion_past_the_float_range_is_inf(args):
+    # no NaN from inf * 0 and no OverflowError from (C + 1)^M: the final
+    # bound and its closed form are inf, and every bound is a number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dr = delta_recursion(*args)
+    assert dr.final_bound == dr.closed_form == math.inf
+    assert dr.bounds[0] == args[0] and not any(math.isnan(b) for b in dr.bounds + dr.deltas)
+
+
+def test_delta_recursion_does_not_form_eps_plus_e():
+    # eps + E = 2e308 overflows, yet (C + 1) (E + eps) omega(1/2) = 1.53e308
+    # does not; and eps / (eps + E) = 5e-632 underflows, so t_0 takes the
+    # smallest float, which keeps every bound positive
+    dr = delta_recursion(1e308, 1e308, 0.01, 1)
+    assert dr.final_bound / 1e300 == pytest.approx(1.01 * 2e8 * omega(0.5), rel=1e-14)
+    assert dr.closed_form == pytest.approx(dr.final_bound, rel=1e-14)
+    tiny = delta_recursion(5e-324, 1e308, 1e-300, 2)
+    assert 0.0 < tiny.bounds[1] < tiny.final_bound == tiny.closed_form < math.inf
+
+
+@pytest.mark.parametrize("call, args", [
+    (delta_recursion, (1e-3, 1.0, 1.0, 2.5)),
+    (delta_recursion, (1e-3, 1.0, 1.0, True)),
+    (omega_iterate, (0.5, 2.5)),
+    (omega_iterate, (0.5, False)),
+    (constant_bound, (2.0, ConstantTracker())),
+    (constant_bound, (True, ConstantTracker())),
+], ids=["M-float", "M-bool", "k-float", "k-bool", "N-float", "N-bool"])
+def test_the_stability_calculus_rejects_counts_that_are_not_integers(call, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
 
 
 def test_delta_recursion_monotone_in_inputs():
